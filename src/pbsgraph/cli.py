@@ -88,7 +88,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = add("plan", "synthesize a schedule for a target graph")
     p.add_argument("target", nargs="?", help="edge-list file of the target graph")
     p.add_argument("--protocol", action="store_true", help="emit the doubling-protocol schedule")
-    p.add_argument("--m", type=int, help="levels for --protocol")
+    p.add_argument("--m", type=int,
+                   help="levels K for --protocol: 2^K pairs, 2^(K+1) qubits "
+                   "(analyze and simulate read --m as n = 2^m)")
     p.add_argument("--brute-force", action="store_true",
                    help="exhaustive search instead of tree planning (<= 8 vertices)")
     p.add_argument("--allow-intra", action="store_true",

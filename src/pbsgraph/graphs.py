@@ -127,6 +127,28 @@ def stabilizers_to_graph(group: StabilizerGroup) -> Graph | None:
 # ===== the fusion gate =====
 
 
+def join_edges(
+    edges: frozenset[tuple[int, int]], i1: int, i2: int
+) -> frozenset[tuple[int, int]]:
+    """The join rule on a set of sorted (u, v) edges: i1 becomes adjacent
+    to all of i2's old neighbours and to i2 itself; i2 keeps only the
+    edge to i1. This is exactly what the fusion gate does when i1 and i2
+    lie in different components; within one component it is not."""
+    joined = {(i1, i2) if i1 < i2 else (i2, i1)}
+    for edge in edges:
+        u, v = edge
+        if u == i2:
+            other = v
+        elif v == i2:
+            other = u
+        else:
+            joined.add(edge)
+            continue
+        if other != i1:
+            joined.add((i1, other) if i1 < other else (other, i1))
+    return frozenset(joined)
+
+
 def pbs_join_graphs(graph_a: Graph, i1: int, graph_b: Graph, i2: int) -> Graph:
     """Join rule on the disjoint union (graph_b relabelled by +|graph_a|):
     i1 becomes adjacent to its old neighbours, all of i2's old neighbours
@@ -135,16 +157,8 @@ def pbs_join_graphs(graph_a: Graph, i1: int, graph_b: Graph, i2: int) -> Graph:
         raise ValueError(f"i1={i1} out of range")
     if not 0 <= i2 < graph_b.num_vertices:
         raise ValueError(f"i2={i2} out of range")
-    off = graph_a.num_vertices
-    edges = set(graph_a.edges)
-    for u, v in graph_b.edges:
-        if i2 in (u, v):
-            other = v if u == i2 else u
-            edges.add(_normalize_edge(i1, other + off))
-        else:
-            edges.add((u + off, v + off))
-    edges.add(_normalize_edge(i1, i2 + off))
-    return Graph(off + graph_b.num_vertices, frozenset(edges))
+    union = graph_a.disjoint_union(graph_b)
+    return Graph(union.num_vertices, join_edges(union.edges, i1, graph_a.num_vertices + i2))
 
 
 def apply_pbs_gate(group: StabilizerGroup, i1: int, i2: int) -> tuple[float, StabilizerGroup | None]:
@@ -168,15 +182,15 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: a "vertices N" header line, then one
     "u v" pair per line (0-based). Blank lines and #-comments allowed."""
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((lineno, line))
     if not lines:
         raise ValueError("empty graph description")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if len(header) != 2 or header[0].lower() != "vertices":
-        raise ValueError(f"expected 'vertices N' header, got {lines[0]!r}")
+        raise ValueError(f"expected 'vertices N' header, got {lines[0][1]!r}")
     try:
         n = int(header[1])
     except ValueError as exc:
@@ -184,14 +198,17 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     edges = set()
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'u v' edge line, got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        edges.add(_normalize_edge(u, v))
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"expected 'u v' edge line, got {line!r}")
+            u, v = int(parts[0]), int(parts[1])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+            edges.add(_normalize_edge(u, v))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return Graph(n, frozenset(edges))
 
 

@@ -17,44 +17,73 @@ does the same in second quantization for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from dataclasses import astuple, dataclass, fields, replace
+from typing import ClassVar, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
-from .graphs import Graph, apply_pbs_gate, graph_to_stabilizers, stabilizers_to_graph
+from .graphs import Graph, apply_pbs_gate, graph_to_stabilizers, join_edges, stabilizers_to_graph
 from .pauli import PauliString, StabilizerGroup
 
 
+class _Op:
+    """What the text and JSON formats need of an instruction: its op
+    name, and its qubit ids in field order."""
+
+    op: ClassVar[str]
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return astuple(self)
+
+
 @dataclass(frozen=True)
-class CreatePair:
+class CreatePair(_Op):
     """Emit a fresh two-qubit graph state (one edge) on new qubit ids."""
 
+    op = "PAIR"
     q_a: int
     q_b: int
 
 
 @dataclass(frozen=True)
-class PbsGate:
+class PbsGate(_Op):
     """Fusion gate: polarizing beam splitter on (i1, i2) followed by a
     half-wave plate Hadamard on i2, postselected on one photon per port."""
 
+    op = "PBS"
     i1: int
     i2: int
 
 
 @dataclass(frozen=True)
-class Hadamard:
+class Hadamard(_Op):
+    op = "H"
     q: int
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Op):
     """Bookkeeping marker: the qubit leaves the active register here."""
 
+    op = "MEASURE"
     q: int
 
 
 Instruction = Union[CreatePair, PbsGate, Hadamard, Measure]
+_OPS: dict[str, type] = {cls.op: cls for cls in (CreatePair, PbsGate, Hadamard, Measure)}
+
+
+def _instruction(op: object, qubits: object) -> Instruction:
+    """The one constructor behind both schedule decoders."""
+    cls = _OPS.get(op.upper()) if isinstance(op, str) else None
+    if cls is None:
+        raise ValueError(f"unknown op {op!r}")
+    arity = len(fields(cls))
+    if not isinstance(qubits, list) or len(qubits) != arity:
+        raise ValueError(f"{cls.op} takes {arity} qubit id(s), got {qubits!r}")
+    if any(type(q) is not int for q in qubits):
+        raise ValueError(f"non-integer qubit id in {qubits!r}")
+    return cls(*qubits)
 
 
 @dataclass(frozen=True)
@@ -83,35 +112,26 @@ def validate_schedule(sched: Schedule) -> None:
     qubits, and gate endpoints are distinct."""
     created: set[int] = set()
     measured: set[int] = set()
-
-    def live(q: int, what: str) -> None:
-        if q not in created:
-            raise ValueError(f"{what} references qubit {q} before it is created")
-        if q in measured:
-            raise ValueError(f"{what} references qubit {q} after it is measured")
-
     for ins in sched.instructions:
-        if isinstance(ins, CreatePair):
-            for q in (ins.q_a, ins.q_b):
+        if not isinstance(ins, _Op):
+            raise ValueError(f"unknown instruction {ins!r}")
+        qubits = ins.qubits
+        if len(set(qubits)) < len(qubits):
+            raise ValueError(f"{ins.op} endpoints must differ")
+        for q in qubits:
+            if isinstance(ins, CreatePair):
                 if q < 0:
                     raise ValueError(f"negative qubit id {q}")
                 if q in created:
                     raise ValueError(f"qubit id {q} created twice")
-            if ins.q_a == ins.q_b:
-                raise ValueError("pair endpoints must differ")
-            created.update((ins.q_a, ins.q_b))
-        elif isinstance(ins, PbsGate):
-            if ins.i1 == ins.i2:
-                raise ValueError("gate endpoints must differ")
-            live(ins.i1, "PBS")
-            live(ins.i2, "PBS")
-        elif isinstance(ins, Hadamard):
-            live(ins.q, "H")
+            elif q not in created:
+                raise ValueError(f"{ins.op} references qubit {q} before it is created")
+            elif q in measured:
+                raise ValueError(f"{ins.op} references qubit {q} after it is measured")
+        if isinstance(ins, CreatePair):
+            created.update(qubits)
         elif isinstance(ins, Measure):
-            live(ins.q, "MEASURE")
-            measured.add(ins.q)
-        else:
-            raise ValueError(f"unknown instruction {ins!r}")
+            measured.update(qubits)
 
 
 def measures_early(sched: Schedule) -> bool:
@@ -123,15 +143,11 @@ def measures_early(sched: Schedule) -> bool:
     last_touch: dict[int, int] = {}
     gate_positions: list[int] = []
     for idx, ins in enumerate(sched.instructions):
-        if isinstance(ins, CreatePair):
-            last_touch[ins.q_a] = idx
-            last_touch[ins.q_b] = idx
-        elif isinstance(ins, PbsGate):
-            last_touch[ins.i1] = idx
-            last_touch[ins.i2] = idx
-            gate_positions.append(idx)
-        elif isinstance(ins, Hadamard):
-            last_touch[ins.q] = idx
+        if isinstance(ins, Measure):
+            continue
+        for q in ins.qubits:
+            last_touch[q] = idx
+        if not isinstance(ins, CreatePair):
             gate_positions.append(idx)
     for idx, ins in enumerate(sched.instructions):
         if not isinstance(ins, Measure):
@@ -189,31 +205,16 @@ def plan_tree_protocol(m: int) -> Schedule:
 def _graph_from_join_instructions(instructions: list[Instruction]) -> Graph:
     """Track the edge set of a pairs-and-inter-gates schedule directly
     with the join rewrite rule, then relabel to 0..n-1 in id order."""
-    edges: set[tuple[int, int]] = set()
+    edges: frozenset[tuple[int, int]] = frozenset()
     labels: list[int] = []
     for ins in instructions:
         if isinstance(ins, CreatePair):
-            edges.add(tuple(sorted((ins.q_a, ins.q_b))))
-            labels.extend((ins.q_a, ins.q_b))
+            edges |= {tuple(sorted(ins.qubits))}
+            labels.extend(ins.qubits)
         elif isinstance(ins, PbsGate):
-            edges = _join_edges(edges, ins.i1, ins.i2)
+            edges = join_edges(edges, ins.i1, ins.i2)
     index = {q: i for i, q in enumerate(sorted(labels))}
     return Graph.from_edges(len(labels), [(index[u], index[v]) for u, v in edges])
-
-
-def _join_edges(edges: set[tuple[int, int]], i1: int, i2: int) -> set[tuple[int, int]]:
-    moved = set()
-    kept = set()
-    for u, v in edges:
-        if i2 in (u, v):
-            other = u if v == i2 else v
-            if other != i1:
-                moved.add(tuple(sorted((i1, other))))
-        else:
-            kept.add((u, v))
-    kept |= moved
-    kept.add(tuple(sorted((i1, i2))))
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -425,57 +426,68 @@ def _matchings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, partner)] + sub
 
 
+def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Schedule | None:
+    """Breadth-first search shared by both engines.
+
+    The roots are the perfect matchings of the target's vertices, and
+    start(matching) gives a root's (key, state); expand(key, state)
+    yields (gate, key, state) for each successor in a fixed order, so
+    ties always break the same way. A key is visited once, and the first
+    key that satisfies is_goal is reached by a schedule with the fewest
+    gates.
+    """
+    roots = ((m, *start(m)) for m in _matchings(list(range(target.num_vertices))))
+    seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
+
+    def reconstruct(key) -> Schedule:
+        steps = []
+        while key is not None:
+            key, step = seen[key]
+            steps.append(step)
+        *gates, matching = steps
+        pairs = [CreatePair(a, b) for a, b in matching]
+        return Schedule(tuple(pairs + gates[::-1]), target=target)
+
+    frontier = [(None, None)]  # a virtual root whose successors are the roots
+    for _depth in range(max_gates + 1):
+        next_frontier = []
+        for key, state in frontier:
+            for step, new_key, new_state in roots if key is None else expand(key, state):
+                if new_key in seen:
+                    continue
+                seen[new_key] = (key, step)
+                if is_goal(new_key):
+                    return reconstruct(new_key)
+                next_frontier.append((new_key, new_state))
+        frontier = next_frontier
+    return None
+
+
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
+    """Search over labeled forests, each keyed by its edge set."""
     n = target.num_vertices
-    goal = frozenset(target.edges)
     # Inter-graph joins merge one component per gate, so a spanning tree
     # costs exactly n/2 - 1 of them; deeper search cannot help.
     depth_needed = n // 2 - 1
     if depth_needed > max_gates:
         return None
+    # Prebuilt gates: building one per successor costs about half a join.
+    gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
 
-    start_states = []
-    seen: dict[frozenset, tuple] = {}
-    for matching in _matchings(list(range(n))):
-        state = frozenset(tuple(sorted(p)) for p in matching)
-        if state not in seen:
-            seen[state] = (None, None, tuple(matching))
-            start_states.append(state)
+    def expand(edges: frozenset, _state: None):
+        component = _component_labels(n, edges)
+        for i1 in range(n):
+            for i2 in range(n):
+                if component[i1] != component[i2]:
+                    yield gates[i1][i2], join_edges(edges, i1, i2), None
 
-    def reconstruct(state: frozenset) -> Schedule:
-        gates: list[Instruction] = []
-        while True:
-            prev, gate, matching = seen[state]
-            if prev is None:
-                pairs = [CreatePair(a, b) for a, b in matching]
-                return Schedule(tuple(pairs + gates[::-1]), target=target)
-            gates.append(gate)
-            state = prev
+    def start(matching: list[tuple[int, int]]):
+        return frozenset(matching), None
 
-    if goal in seen:
-        return reconstruct(goal)
-
-    frontier = start_states
-    for _depth in range(depth_needed):
-        next_frontier = []
-        for state in frontier:
-            component = _component_labels(n, state)
-            for i1 in range(n):
-                for i2 in range(n):
-                    if i1 == i2 or component[i1] == component[i2]:
-                        continue
-                    new_state = frozenset(_join_edges(set(state), i1, i2))
-                    if new_state in seen:
-                        continue
-                    seen[new_state] = (state, PbsGate(i1, i2), None)
-                    if new_state == goal:
-                        return reconstruct(new_state)
-                    next_frontier.append(new_state)
-        frontier = next_frontier
-    return None
+    return _breadth_first(target, start, expand, frozenset(target.edges).__eq__, depth_needed)
 
 
-def _component_labels(n: int, edges: frozenset) -> dict[int, int]:
+def _component_labels(n: int, edges: frozenset) -> list[int]:
     parent = list(range(n))
 
     def find(v: int) -> int:
@@ -486,89 +498,47 @@ def _component_labels(n: int, edges: frozenset) -> dict[int, int]:
 
     for u, v in edges:
         parent[find(u)] = find(v)
-    return {v: find(v) for v in range(n)}
+    return [find(v) for v in range(n)]
 
 
 def _search_stabilizer(
     target: Graph, allow_intra: bool, allow_hadamard: bool, max_gates: int
 ) -> Schedule | None:
     """Breadth-first search over canonical stabilizer groups. When
-    intra-graph gates are forbidden, each state also carries the
-    partition of qubits into clusters that have interacted so far, since
-    Hadamards can leave states whose cluster structure the group alone
-    no longer shows."""
+    intra-graph gates are forbidden, each key also carries the partition
+    of qubits into clusters that have interacted so far, since Hadamards
+    can leave states whose cluster structure the group alone no longer
+    shows."""
     n = target.num_vertices
     goal = graph_to_stabilizers(target).canonical_form()
     track_parts = not allow_intra
 
-    seen: dict[tuple, tuple] = {}
-    frontier: list[tuple[tuple, StabilizerGroup, frozenset]] = []
-
-    def reconstruct(key: tuple) -> Schedule:
-        gates: list[Instruction] = []
-        while True:
-            prev, gate, matching = seen[key]
-            if prev is None:
-                pairs = [CreatePair(a, b) for a, b in matching]
-                return Schedule(tuple(pairs + gates[::-1]), target=target)
-            gates.append(gate)
-            key = prev
-
-    for matching in _matchings(list(range(n))):
-        group = _matching_group(n, matching)
+    def start(matching: list[tuple[int, int]]):
+        group = graph_to_stabilizers(Graph.from_edges(n, matching))
         parts = frozenset(frozenset(p) for p in matching) if track_parts else frozenset()
-        key = (group.canonical_form(), parts)
-        if key in seen:
-            continue
-        seen[key] = (None, None, tuple(matching))
-        if key[0] == goal:
-            return reconstruct(key)
-        frontier.append((key, group, parts))
+        return (group.canonical_form(), parts), group
 
-    for _depth in range(max_gates):
-        next_frontier = []
-        for key, group, parts in frontier:
-            cluster_of = {q: c for c in parts for q in c}
-            moves: list[Instruction] = []
-            for i1 in range(n):
-                for i2 in range(n):
-                    if i1 == i2:
-                        continue
-                    if track_parts and cluster_of[i1] is cluster_of[i2]:
-                        continue
-                    moves.append(PbsGate(i1, i2))
-            if allow_hadamard:
-                moves.extend(Hadamard(q) for q in range(n))
-            for move in moves:
-                if isinstance(move, PbsGate):
-                    _prob, new_group = apply_pbs_gate(group, move.i1, move.i2)
-                    if new_group is None:
-                        continue
-                    if track_parts:
-                        a, b = cluster_of[move.i1], cluster_of[move.i2]
-                        new_parts = (parts - {a, b}) | {a | b}
-                    else:
-                        new_parts = parts
-                else:
-                    new_group = group.apply_hadamard(move.q)
-                    new_parts = parts
-                new_key = (new_group.canonical_form(), new_parts)
-                if new_key in seen:
+    def expand(key: tuple, group: StabilizerGroup):
+        parts = key[1]
+        cluster_of = {q: c for c in parts for q in c}
+        for i1 in range(n):
+            for i2 in range(n):
+                if i1 == i2 or track_parts and cluster_of[i1] is cluster_of[i2]:
                     continue
-                seen[new_key] = (key, move, None)
-                if new_key[0] == goal:
-                    return reconstruct(new_key)
-                next_frontier.append((new_key, new_group, new_parts))
-        frontier = next_frontier
-    return None
+                _prob, new_group = apply_pbs_gate(group, i1, i2)
+                if new_group is None:
+                    continue
+                new_parts = parts
+                if track_parts:
+                    a, b = cluster_of[i1], cluster_of[i2]
+                    new_parts = (parts - {a, b}) | {a | b}
+                yield PbsGate(i1, i2), (new_group.canonical_form(), new_parts), new_group
+        if allow_hadamard:
+            for q in range(n):
+                new_group = group.apply_hadamard(q)
+                yield Hadamard(q), (new_group.canonical_form(), parts), new_group
 
-
-def _matching_group(n: int, matching: tuple[tuple[int, int], ...]) -> StabilizerGroup:
-    generators = []
-    for a, b in matching:
-        generators.append(PauliString(n, x_bits=1 << a, z_bits=1 << b, phase=0))
-        generators.append(PauliString(n, x_bits=1 << b, z_bits=1 << a, phase=0))
-    return StabilizerGroup(n, tuple(generators))
+    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates)
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +635,7 @@ def execute_schedule_fock(sched: Schedule) -> tuple[float, FockState | None]:
 
 
 def schedule_text(sched: Schedule) -> str:
-    lines = []
-    for ins in sched.instructions:
-        if isinstance(ins, CreatePair):
-            lines.append(f"PAIR {ins.q_a} {ins.q_b}")
-        elif isinstance(ins, PbsGate):
-            lines.append(f"PBS {ins.i1} {ins.i2}")
-        elif isinstance(ins, Hadamard):
-            lines.append(f"H {ins.q}")
-        elif isinstance(ins, Measure):
-            lines.append(f"MEASURE {ins.q}")
+    lines = [" ".join(map(str, (ins.op, *ins.qubits))) for ins in sched.instructions]
     return "\n".join(lines) + "\n"
 
 
@@ -686,55 +647,37 @@ def parse_schedule(text: str) -> Schedule:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        op, args = parts[0].upper(), parts[1:]
+        op, *args = line.split()
         try:
             values = [int(a) for a in args]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer qubit id in {raw!r}") from None
-        if op == "PAIR" and len(values) == 2:
-            instructions.append(CreatePair(*values))
-        elif op == "PBS" and len(values) == 2:
-            instructions.append(PbsGate(*values))
-        elif op == "H" and len(values) == 1:
-            instructions.append(Hadamard(values[0]))
-        elif op == "MEASURE" and len(values) == 1:
-            instructions.append(Measure(values[0]))
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            instructions.append(_instruction(op, values))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
     sched = Schedule(tuple(instructions))
     validate_schedule(sched)
     return sched
 
 
 def schedule_json_dict(sched: Schedule) -> dict:
-    ops = []
-    for ins in sched.instructions:
-        if isinstance(ins, CreatePair):
-            ops.append({"op": "PAIR", "qubits": [ins.q_a, ins.q_b]})
-        elif isinstance(ins, PbsGate):
-            ops.append({"op": "PBS", "qubits": [ins.i1, ins.i2]})
-        elif isinstance(ins, Hadamard):
-            ops.append({"op": "H", "qubits": [ins.q]})
-        elif isinstance(ins, Measure):
-            ops.append({"op": "MEASURE", "qubits": [ins.q]})
+    ops = [{"op": ins.op, "qubits": list(ins.qubits)} for ins in sched.instructions]
     return {"instructions": ops}
 
 
 def schedule_from_json_dict(doc: dict) -> Schedule:
+    entries = doc.get("instructions") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("schedule JSON needs an 'instructions' list")
     instructions: list[Instruction] = []
-    for entry in doc["instructions"]:
-        op, qubits = entry["op"].upper(), entry["qubits"]
-        if op == "PAIR":
-            instructions.append(CreatePair(*qubits))
-        elif op == "PBS":
-            instructions.append(PbsGate(*qubits))
-        elif op == "H":
-            instructions.append(Hadamard(*qubits))
-        elif op == "MEASURE":
-            instructions.append(Measure(*qubits))
-        else:
-            raise ValueError(f"unknown op {op!r}")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"instruction {index}: expected an object, got {entry!r}")
+        try:
+            instructions.append(_instruction(entry.get("op"), entry.get("qubits")))
+        except ValueError as exc:
+            raise ValueError(f"instruction {index}: {exc}") from None
     sched = Schedule(tuple(instructions))
     validate_schedule(sched)
     return sched

@@ -279,9 +279,11 @@ def test_criterion_10_planner_sound_and_complete():
             if planned is None:
                 continue
             reachable += 1
-            prob, _, graph = execute_schedule(planned)
-            assert graph == target
-            assert prob == pytest.approx(0.5 ** planned.gate_count())
+            assert brute.gate_count() == n // 2 - 1
+            for sched in (planned, brute):
+                prob, _, graph = execute_schedule(sched)
+                assert graph == target
+                assert prob == pytest.approx(0.5 ** sched.gate_count())
 
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert plan_join_sequence(path4) is None

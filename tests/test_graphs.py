@@ -130,11 +130,16 @@ def test_edge_list_round_trip_and_errors():
     with pytest.raises(ValueError):
         parse_edge_list("0 1\n")
     with pytest.raises(ValueError):
-        parse_edge_list("vertices 2\n0 3\n")
-    with pytest.raises(ValueError):
-        parse_edge_list("vertices 2\n0\n")
-    with pytest.raises(ValueError):
         parse_edge_list("   \n# only comments\n")
+    for text, line in (
+        ("vertices 2\n0 3\n", "line 2"),  # out of range
+        ("# header next\nvertices 2\n\n1 2\n", "line 4"),
+        ("vertices 2\n0\n", "line 2"),
+        ("vertices 3\n0 x\n", "line 2"),
+        ("vertices 3\n0 1\n1 1\n", "line 3"),  # self-loop
+    ):
+        with pytest.raises(ValueError, match=line):
+            parse_edge_list(text)
 
 
 def test_to_dot_is_deterministic():

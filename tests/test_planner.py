@@ -248,6 +248,22 @@ def test_parse_schedule_accepts_comments_and_rejects_garbage():
         parse_schedule("PBS 0 1\n")  # gate before creation
     with pytest.raises(ValueError):
         schedule_from_json_dict({"instructions": [{"op": "WARP", "qubits": [0]}]})
+    pair = {"op": "PAIR", "qubits": [0, 1]}
+    for bad in (
+        {"op": "PAIR", "qubits": [0]},  # wrong arity
+        {"op": "PAIR", "qubits": ["0", "1"]},
+        {"op": "PAIR", "qubits": [0.5, 1]},
+        {"op": "PAIR", "qubits": [True, 2]},
+        {"op": "PAIR"},
+        {"qubits": [0, 1]},
+        "PAIR 0 1",
+    ):
+        with pytest.raises(ValueError, match="instruction 1"):
+            schedule_from_json_dict({"instructions": [pair, bad]})
+    with pytest.raises(ValueError, match="instructions"):
+        schedule_from_json_dict({})
+    with pytest.raises(ValueError, match="line 1"):
+        parse_schedule("PAIR 0\n")
 
 
 def test_validate_schedule_rejects_malformed_programs():
