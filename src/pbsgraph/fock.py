@@ -216,11 +216,12 @@ def qubit_statevector_from_stabilizers(
     fixes, built by applying the projectors (1 + g)/2 to a basis state.
 
     Qubit q maps to port ports[q] (default: port q); computational |0>
-    is one H photon, |1> one V photon. Capped at 12 qubits.
+    is one H photon, |1> one V photon. Capped at 12 qubits; validates group.
     """
     n = group.num_qubits
     if n > 12:
         raise ValueError("statevector bridge capped at 12 qubits")
+    group.validate()
     if ports is None:
         ports = list(range(n))
     if len(ports) != n or len(set(ports)) != n:

@@ -37,6 +37,9 @@ from .scaling import (
     total_time_exact_log10,
 )
 
+# Workers are started up front, so an unbounded count can exhaust the host.
+_MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -396,8 +399,8 @@ def run_campaign(
         raise ValueError("trials must be >= 1")
     if policy not in ("both", "kept"):
         raise ValueError(f"unknown rebuild policy {policy!r}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
 
     top_level = params.m - 1
     counts = [[0, 0, 0] for _ in range(top_level + 1)]
@@ -426,7 +429,7 @@ def run_campaign(
     else:
         chunk = max(1, math.ceil(trials / (threads * 4)))
         ranges = [(start, min(start + chunk, trials)) for start in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
             for result in pool.map(
                 _run_trial_range,
                 [

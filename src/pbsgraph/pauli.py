@@ -162,15 +162,16 @@ class StabilizerGroup:
     """A maximal stabilizer group: n independent commuting Hermitian
     generators with sign +1 or -1 on n qubits.
 
-    Instances are immutable; every operation returns a new group.
-    Validity (commutation, independence, Hermiticity) is asserted on
-    construction, so any reachable instance is a genuine stabilizer group.
+    Instances are immutable; operations return new groups and keep them
+    valid (Aaronson & Gottesman, quant-ph/0406196), so validate() runs only
+    in from_labels, execute_schedule and fock.qubit_statevector_from_stabilizers.
     """
 
     num_qubits: int
     generators: tuple[PauliString, ...]
 
-    def __post_init__(self) -> None:
+    def validate(self) -> "StabilizerGroup":
+        """Raise ValueError unless this is a stabilizer group; return it."""
         n = self.num_qubits
         gens = self.generators
         if len(gens) != n:
@@ -189,13 +190,14 @@ class StabilizerGroup:
         rows = [g.x_bits | (g.z_bits << n) for g in gens]
         if _gf2_rank(rows) != n:
             raise ValueError("generators are not independent")
+        return self
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "StabilizerGroup":
         gens = tuple(PauliString.from_label(s) for s in labels)
         if not gens:
             raise ValueError("empty generator list")
-        return cls(gens[0].num_qubits, gens)
+        return cls(gens[0].num_qubits, gens).validate()
 
     def __iter__(self):
         return iter(self.generators)
@@ -205,10 +207,9 @@ class StabilizerGroup:
     def apply_hadamard(self, q: int) -> "StabilizerGroup":
         if not 0 <= q < self.num_qubits:
             raise ValueError(f"qubit {q} out of range")
-        return StabilizerGroup(
-            self.num_qubits,
-            tuple(g.conjugate_hadamard(q) for g in self.generators),
-        )
+        bit = 1 << q  # generators without support on q are unchanged
+        gens = [g.conjugate_hadamard(q) if (g.x_bits | g.z_bits) & bit else g for g in self.generators]
+        return StabilizerGroup(self.num_qubits, tuple(gens))
 
     # ----- membership -----
 

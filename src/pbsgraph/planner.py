@@ -17,7 +17,7 @@ does the same in second quantization for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import ClassVar, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
@@ -161,6 +161,9 @@ def measures_early(sched: Schedule) -> bool:
 # ---------------------------------------------------------------------------
 # Protocol schedule generator
 
+# The schedule has 2^(m+2) - 1 instructions; m = 12 already takes seconds.
+_MAX_PROTOCOL_LEVELS = 12
+
 
 def plan_tree_protocol(m: int) -> Schedule:
     """Doubling protocol schedule for m connection levels.
@@ -172,8 +175,8 @@ def plan_tree_protocol(m: int) -> Schedule:
     measured last. Executing the gates (measurements are bookkeeping)
     leaves a connected caterpillar tree on all 2^(m+1) qubits.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not 1 <= m <= _MAX_PROTOCOL_LEVELS:
+        raise ValueError(f"m must be in [1, {_MAX_PROTOCOL_LEVELS}], got {m}")
     num_pairs = 1 << m
     instructions: list[Instruction] = []
     conns: list[int] = []
@@ -549,8 +552,8 @@ def execute_schedule(sched: Schedule) -> tuple[float, StabilizerGroup, Graph | N
     """Run a schedule through the stabilizer engine from an empty register.
 
     Measure instructions are recorded for bookkeeping but never applied.
-    Returns the cumulative postselection probability, the final group
-    re-indexed so qubit ids appear in sorted order, and the graph whose
+    Returns the cumulative postselection probability, the validated final
+    group re-indexed so qubit ids appear in sorted order, and the graph whose
     state that group stabilizes (None when it is not in graph form or
     when a gate outcome was impossible, which also zeroes the
     probability and stops execution).
@@ -566,19 +569,19 @@ def execute_schedule(sched: Schedule) -> tuple[float, StabilizerGroup, Graph | N
         elif isinstance(ins, PbsGate):
             gate_prob, new_group = apply_pbs_gate(group, labels.index(ins.i1), labels.index(ins.i2))
             if new_group is None:
-                return 0.0, _reindex_sorted(group, labels), None
+                return 0.0, _reindex_sorted(group, labels).validate(), None
             prob *= gate_prob
             group = new_group
         elif isinstance(ins, Hadamard):
             group = group.apply_hadamard(labels.index(ins.q))
         # Measure: recorded by validate_schedule's pass; no tableau action.
-    group = _reindex_sorted(group, labels)
+    group = _reindex_sorted(group, labels).validate()
     return prob, group, stabilizers_to_graph(group)
 
 
 def _extend_with_pair(group: StabilizerGroup, idx_a: int, idx_b: int) -> StabilizerGroup:
     n = group.num_qubits + 2
-    generators = [replace(g, num_qubits=n) for g in group.generators]
+    generators = [PauliString(n, g.x_bits, g.z_bits, g.phase) for g in group.generators]
     generators.append(PauliString(n, x_bits=1 << idx_a, z_bits=1 << idx_b, phase=0))
     generators.append(PauliString(n, x_bits=1 << idx_b, z_bits=1 << idx_a, phase=0))
     return StabilizerGroup(n, tuple(generators))

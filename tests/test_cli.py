@@ -74,6 +74,50 @@ def test_simulate_writes_deterministic_json(tmp_path, capsys):
     assert "timestamp" not in doc
 
 
+def test_simulate_rejects_thread_counts_above_cap_without_starting_workers(monkeypatch, capsys):
+    import pbsgraph.montecarlo as montecarlo
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    args = ["simulate", "--m", "2", "--eta-s", "0.5", "--eta-d", "0.8", "--trials", "4"]
+    for threads in (montecarlo._MAX_THREADS + 1, 10**6):
+        assert main(args + ["--threads", str(threads)]) == 2
+        assert f"threads must be in [1, {montecarlo._MAX_THREADS}]" in capsys.readouterr().err
+
+
+def test_simulate_pool_has_no_more_workers_than_chunks(monkeypatch, tmp_path, capsys):
+    """At the thread cap the pool is sized by the work, and the JSON is
+    the same as a serial run's. The pool runs in-process here."""
+    import pbsgraph.montecarlo as montecarlo
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    args = ["simulate", "--m", "2", "--eta-s", "0.5", "--eta-d", "0.8",
+            "--trials", "10", "--seed", "9", "--no-timestamp"]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b.json"),
+                        "--threads", str(montecarlo._MAX_THREADS)]) == 0
+    capsys.readouterr()
+    assert sizes == [10]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_simulate_stdout_includes_timestamp_by_default(capsys):
     assert main(["simulate", "--m", "1", "--eta-s", "0.9", "--eta-d", "0.9",
                  "--trials", "5", "--seed", "1"]) == 0
@@ -162,6 +206,18 @@ def test_plan_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")
     assert main(["plan", str(bad)]) == 2
+
+
+def test_plan_protocol_rejects_levels_above_cap_before_building(monkeypatch, capsys):
+    import pbsgraph.planner as planner
+
+    def no_pairs(*args):
+        pytest.fail("the schedule was built")
+
+    monkeypatch.setattr(planner, "CreatePair", no_pairs)
+    for m in (planner._MAX_PROTOCOL_LEVELS + 1, 10**6):
+        assert main(["plan", "--protocol", "--m", str(m)]) == 2
+        assert f"m must be in [1, {planner._MAX_PROTOCOL_LEVELS}]" in capsys.readouterr().err
 
 
 def test_verify_rejects_malformed_schedule(tmp_path, capsys):

@@ -86,6 +86,29 @@ def test_group_validation_rejects_bad_generators():
         StabilizerGroup.from_labels(["XX"])  # wrong generator count
 
 
+def test_validate_rejects_bad_generators_built_directly():
+    """The bare constructor does not check; validate() has the same
+    teeth as from_labels, and the statevector bridge refuses bad groups."""
+    from pbsgraph.fock import qubit_statevector_from_stabilizers
+
+    # "+iXX", not "iXX": the latter fails in from_label as a bad letter
+    for labels, reason in (
+        (["XX", "ZI"], "anticommute"),
+        (["XX", "XX"], "not independent"),
+        (["II", "XX"], "identity"),
+        (["+iXX", "ZZ"], "not Hermitian"),
+        (["XX"], "need exactly 2"),
+    ):
+        group = StabilizerGroup(2, tuple(PauliString.from_label(s) for s in labels))
+        with pytest.raises(ValueError, match=reason):
+            group.validate()
+    good = StabilizerGroup.from_labels(["XX", "ZZ"])
+    assert good.validate() is good
+    anticommuting = StabilizerGroup(2, (PauliString.from_label("XX"), PauliString.from_label("ZI")))
+    with pytest.raises(ValueError, match="anticommute"):
+        qubit_statevector_from_stabilizers(anticommuting)
+
+
 def test_membership_with_signs():
     bell = StabilizerGroup.from_labels(["XX", "ZZ"])
     assert bell.is_stabilized_by(PauliString.from_label("-YY"))
@@ -110,6 +133,10 @@ def test_canonical_form_is_generator_order_invariant():
         remixed = StabilizerGroup(n, tuple(gens))
         assert remixed.equals_group(base)
         assert remixed.canonical_form().generators == base.canonical_form().generators
+        # the unchecked paths still produce genuine stabilizer groups
+        base.validate()
+        remixed.validate()
+        remixed.canonical_form().validate()
 
 
 def _random_tree_state(rng: random.Random, n: int) -> StabilizerGroup:

@@ -6,7 +6,8 @@ import networkx as nx
 import pytest
 
 from pbsgraph.fock import fidelity, qubit_statevector_from_stabilizers
-from pbsgraph.graphs import Graph, graph_to_stabilizers
+from pbsgraph.graphs import Graph, apply_pbs_gate, graph_to_stabilizers, stabilizers_to_graph
+from pbsgraph.pauli import PauliString, StabilizerGroup
 from pbsgraph.planner import (
     CreatePair,
     Hadamard,
@@ -180,6 +181,88 @@ def test_four_cycle_stays_unreachable_even_with_intra_and_hadamards():
     assert brute_force_schedule_search(C4, allow_intra=True, allow_hadamard=True, max_gates=4) is None
 
 
+def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
+    """Pairs created between gates, inter- and intra-cluster PBS gates
+    and bare Hadamards, on seeded distinct ids in shuffled order.
+    Returns the schedule and its number of intra-cluster gates."""
+    num_pairs = rng.randrange(2, 7)
+    ids = rng.sample(range(100), 2 * num_pairs)
+    instructions = [CreatePair(ids[0], ids[1])]
+    live = ids[:2]
+    cluster = {q: i // 2 for i, q in enumerate(ids)}
+    intra = 0
+    for _ in range(rng.randrange(3, 12)):
+        if len(live) < len(ids) and rng.random() < 0.4:
+            pair = ids[len(live) : len(live) + 2]
+            instructions.append(CreatePair(*pair))
+            live.extend(pair)
+        elif rng.random() < 0.25:
+            instructions.append(Hadamard(rng.choice(live)))
+        else:
+            i1, i2 = rng.sample(live, 2)
+            a, b = cluster[i1], cluster[i2]
+            intra += a == b
+            cluster = {q: a if c == b else c for q, c in cluster.items()}
+            instructions.append(PbsGate(i1, i2))
+    return Schedule(tuple(instructions)), intra
+
+
+def _replay_validating(sched: Schedule) -> tuple[float, StabilizerGroup]:
+    """execute_schedule step by step with the public ops, validating
+    every intermediate group; the result is indexed in sorted id order."""
+    labels: list[int] = []
+    group = StabilizerGroup(0, ()).validate()
+    prob = 1.0
+    for ins in sched.instructions:
+        if isinstance(ins, CreatePair):
+            n = group.num_qubits + 2
+            widened = tuple(PauliString(n, g.x_bits, g.z_bits, g.phase) for g in group.generators)
+            a, b = n - 2, n - 1
+            edge = (PauliString.from_ops(n, {a: "X", b: "Z"}), PauliString.from_ops(n, {a: "Z", b: "X"}))
+            group = StabilizerGroup(n, widened + edge)
+            labels.extend(ins.qubits)
+        elif isinstance(ins, PbsGate):
+            gate_prob, group_after = apply_pbs_gate(group, labels.index(ins.i1), labels.index(ins.i2))
+            if group_after is None:
+                prob = 0.0
+                break
+            prob *= gate_prob
+            group = group_after
+        else:
+            group = group.apply_hadamard(labels.index(ins.q))
+        group.validate()
+    rank = {q: r for r, q in enumerate(sorted(labels))}
+
+    def move(mask: int) -> int:
+        return sum(1 << rank[q] for i, q in enumerate(labels) if mask >> i & 1)
+
+    n = group.num_qubits
+    return prob, StabilizerGroup(n, tuple(
+        PauliString(n, move(g.x_bits), move(g.z_bits), g.phase) for g in group.generators
+    )).validate()
+
+
+def test_unchecked_execution_matches_validated_replay():
+    """execute_schedule skips per-step validation; replaying the same
+    random mixed schedules with validate() on every intermediate group
+    gives the same probability, canonical group and graph."""
+    rng = random.Random(3)
+    with_intra = with_hadamard = impossible = in_graph_form = 0
+    for _ in range(150):
+        sched, intra = _random_mixed_schedule(rng)
+        validate_schedule(sched)
+        prob, group, graph = execute_schedule(sched)
+        replay_prob, replay_group = _replay_validating(sched)
+        assert prob == replay_prob
+        assert group.canonical_form().generators == replay_group.canonical_form().generators
+        assert graph == (stabilizers_to_graph(replay_group) if prob else None)
+        with_hadamard += any(isinstance(ins, Hadamard) for ins in sched.instructions)
+        with_intra += intra > 0
+        impossible += prob == 0.0
+        in_graph_form += graph is not None
+    assert with_intra >= 50 and with_hadamard >= 50 and impossible >= 3 and in_graph_form >= 20
+
+
 def test_execute_schedule_foundations():
     prob, group, graph = execute_schedule(Schedule(()))
     assert prob == 1.0 and group.num_qubits == 0 and graph == Graph(0)
@@ -201,6 +284,19 @@ def test_execute_schedule_impossible_gate(monkeypatch):
     prob, group, graph = execute_schedule(sched)
     assert prob == 0.0 and graph is None
     assert group.num_qubits == 4
+
+
+def test_execute_schedule_validates_its_result(monkeypatch):
+    """Steps are not re-checked, but a corrupted group cannot leave."""
+    import pbsgraph.planner as planner_module
+
+    def corrupt(group, i1, i2):
+        n = group.num_qubits
+        return 0.5, StabilizerGroup(n, (PauliString.from_ops(n, {0: "X"}),) * n)
+
+    monkeypatch.setattr(planner_module, "apply_pbs_gate", corrupt)
+    with pytest.raises(ValueError, match="not independent"):
+        execute_schedule(Schedule((CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2))))
 
 
 def test_fock_execution_handles_hadamard_instructions():
