@@ -9,6 +9,10 @@ photons 50/25/25 between the separate-port, both-to-measured-port and
 both-to-kept-port branches, which is all the quantum mechanics that
 survives at this level of description.
 
+A level-0 block (source pulses up to the first detector click) is drawn
+exactly as one geometric pulse count and one photon flag, not pulse by
+pulse; attempt_base_pair is the per-pulse reference it is tested against.
+
 Timing follows the parallel-preparation convention: the two inputs of a
 connection are built concurrently, so one attempt costs the maximum of
 the two build times, and every retry rebuilds per the policy. Each trial
@@ -139,6 +143,27 @@ def attempt_base_pair(source: SourceModel, detector: DetectorModel, u: _UniformS
     return Segment(0, emitted, 1)
 
 
+def _base_block(source: SourceModel, detector: DetectorModel, u: _UniformStream) -> tuple[int, bool]:
+    """(pulses, photon_present) of one level-0 block: attempt_base_pair
+    repeated until a click, drawn exactly from two uniforms.
+
+    Pulses are i.i.d., so the count is geometric in the per-pulse click
+    probability and the clicking pulse's kind (emitted pair or dark
+    count alone) is independent of when it came.
+    """
+    eta_d, dark = detector.eta_d, detector.dark_count_prob
+    if detector.number_resolving:
+        click_if_photon = eta_d * (1.0 - dark) + (1.0 - eta_d) * dark
+    else:
+        click_if_photon = 1.0 - (1.0 - eta_d) * (1.0 - dark)
+    p_good = source.eta_s * click_if_photon
+    p_click = p_good + (1.0 - source.eta_s) * dark
+    pulses = 1
+    if p_click < 1.0:  # log1p(-1) raises; a sure click takes one pulse
+        pulses += math.floor(math.log(1.0 - u.next()) / math.log1p(-p_click))
+    return pulses, bool(u.next() * p_click < p_good)
+
+
 def attempt_connection(
     seg_a: Segment, seg_b: Segment, detector: DetectorModel, u: _UniformStream
 ) -> ConnectionResult:
@@ -193,26 +218,20 @@ def build_segment(
 ) -> Segment:
     """Build one accepted segment of the given level, recursively.
 
-    Level 0 repeats attempt_base_pair until a click; a failed base
-    attempt restarts only that pair. Higher levels build both inputs (in
-    parallel, so an attempt costs max of the two block times), attempt
-    the connection and, on rejection, rebuild per the policy: "both"
-    (default) rebuilds both inputs, "kept" reuses the kept-side input
-    and rebuilds only the measured side.
+    Level 0 is attempt_base_pair repeated until a click, drawn as one
+    block by _base_block; a failed base attempt restarts only that pair.
+    Higher levels build both inputs (in parallel, so an attempt costs max
+    of the two block times), attempt the connection and, on rejection,
+    rebuild per the policy: "both" (default) rebuilds both inputs, "kept"
+    reuses the kept-side input and rebuilds only the measured side.
     """
     counters = stats[level]
     if level == 0:
-        elapsed = 0
-        while True:
-            elapsed += 1
-            counters.attempts += 1
-            seg = attempt_base_pair(source, detector, u)
-            if seg is not None:
-                counters.acceptances += 1
-                if seg.connection_photon_present:
-                    counters.good += 1
-                seg.elapsed_pulses = elapsed
-                return seg
+        pulses, present = _base_block(source, detector, u)
+        counters.attempts += pulses
+        counters.acceptances += 1
+        counters.good += present
+        return Segment(0, present, pulses)
 
     elapsed = 0
     kept: Segment | None = None
@@ -319,6 +338,9 @@ class SimResult:
         }
 
     def analytic_block(self) -> dict:
+        """Closed-form predictions at the operating point. They assume an
+        ideal threshold detector (no dark counts, not number-resolving);
+        matches_simulated_detector says whether that is the simulated one."""
         m = self.params.m
         a_list = [a_closed_form(level, self.params.eta_d) for level in range(m)]
         p_list = [base_success_prob(self.params.eta_s, self.params.eta_d)]
@@ -332,6 +354,9 @@ class SimResult:
             "T_exact_log10": total_time_exact_log10(self.params),
             "T_approx_log10": total_time_approx_log10(
                 self.params.n, self.params.eta_s, self.params.eta_d
+            ),
+            "matches_simulated_detector": (
+                self.detector.dark_count_prob == 0 and not self.detector.number_resolving
             ),
         }
 
@@ -391,9 +416,9 @@ def run_campaign(
     top of level-0 base pairs) and, with final_measurement, confirms the
     surviving connection qubit, rebuilding everything on a failed
     confirmation. Per-trial substreams keyed by (seed, trial) make the
-    result independent of threads; max_seconds enforces a wall-clock
-    budget (serial execution) and flags the result partial when it
-    strikes.
+    result independent of threads; max_seconds (finite and positive)
+    enforces a wall-clock budget (serial execution) and flags the result
+    partial when it strikes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -401,6 +426,8 @@ def run_campaign(
         raise ValueError(f"unknown rebuild policy {policy!r}")
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"threads must be in [1, {_MAX_THREADS}], got {threads}")
+    if max_seconds is not None and not (math.isfinite(max_seconds) and max_seconds > 0):
+        raise ValueError(f"max_seconds must be finite and positive, got {max_seconds}")
 
     top_level = params.m - 1
     counts = [[0, 0, 0] for _ in range(top_level + 1)]

@@ -136,6 +136,31 @@ def test_simulate_budget_returns_partial_code(tmp_path, capsys):
     assert doc["trials"] < 1000000
 
 
+def test_simulate_rejects_bad_budgets_before_running(monkeypatch, capsys):
+    import pbsgraph.montecarlo as montecarlo
+
+    def no_trials(*args, **kwargs):
+        pytest.fail("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "_run_trial_range", no_trials)
+    args = ["simulate", "--m", "2", "--eta-s", "0.5", "--eta-d", "0.8", "--trials", "4"]
+    for budget in ("nan", "inf", "0", "-1"):
+        assert main(args + ["--max-seconds", budget]) == 2
+        captured = capsys.readouterr()
+        assert "max_seconds must be finite and positive" in captured.err
+        assert captured.out == ""
+
+
+def test_simulate_marks_analytics_as_ideal_detector_only(capsys):
+    args = ["simulate", "--m", "1", "--eta-s", "0.5", "--eta-d", "0.8",
+            "--trials", "5", "--seed", "1", "--no-timestamp"]
+    for extra, matches in (([], True), (["--dark", "0.05"], False),
+                           (["--number-resolving"], False)):
+        assert main(args + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["analytic"]["matches_simulated_detector"] is matches
+
+
 def test_simulate_dark_counts_contaminate_base_level(capsys):
     assert main(["simulate", "--m", "1", "--eta-s", "0.1", "--eta-d", "0.7",
                  "--trials", "300", "--seed", "4", "--dark", "1e-2",

@@ -7,14 +7,17 @@ that the acceptance suite validates at scale.
 
 import math
 
+import numpy as np
 import pytest
 
+from pbsgraph import montecarlo
 from pbsgraph.montecarlo import (
     ConnectionResult,
     DetectorModel,
     LevelCounters,
     Segment,
     SourceModel,
+    _base_block,
     _UniformStream,
     attempt_base_pair,
     attempt_connection,
@@ -89,6 +92,121 @@ def test_base_pair_perfect_devices():
     u = _UniformStream(7, 1)
     seg = attempt_base_pair(SourceModel(1.0), DetectorModel(1.0), u)
     assert seg == Segment(0, True, 1)
+
+
+def _reference_block(source, detector, u):
+    """attempt_base_pair repeated until it returns a segment: the
+    pulse-by-pulse definition of a level-0 block."""
+    pulses = 1
+    while (seg := attempt_base_pair(source, detector, u)) is None:
+        pulses += 1
+    return pulses, seg.connection_photon_present
+
+
+def _chi2_two_sample(a, b):
+    """Pearson statistic of two histograms over the same bins, and its
+    degrees of freedom (bins that either sample fills, minus one)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    filled = a + b > 0
+    a, b = a[filled], b[filled]
+    share = a.sum() / (a.sum() + b.sum())
+    expect_a, expect_b = (a + b) * share, (a + b) * (1.0 - share)
+    stat = ((a - expect_a) ** 2 / expect_a + (b - expect_b) ** 2 / expect_b).sum()
+    return float(stat), int(filled.sum()) - 1
+
+
+def _ks_two_sample(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.searchsorted(a, grid, side="right") / len(a) - np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.abs(gap).max())
+
+
+# Upper 0.001 points of chi-square by degrees of freedom. With df 0 every
+# draw of both samples fell in one bin, so the statistic is exactly 0.
+_CHI2_CRIT_999 = {0: 0.0, 1: 10.828, 9: 27.877}
+# Pulse-count bins {1}, {2}, {3}, {4, 5}, ..., {28..40} and a tail bin {41, ...}.
+_PULSE_EDGES = [1, 2, 3, 4, 6, 9, 13, 19, 28, 41, 2**62]
+
+
+@pytest.mark.parametrize(
+    "source, detector, dfs",
+    [
+        # without dark counts every click carries the photon: one flag bin
+        (SourceModel(0.1), DetectorModel(0.7), (9, 0)),
+        (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05), (9, 1)),
+        (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05, number_resolving=True), (9, 1)),
+        (SourceModel(1.0), DetectorModel(1.0), (0, 0)),
+    ],
+    ids=["ideal", "dark", "resolving-dark", "perfect"],
+)
+def test_base_block_matches_pulse_loop_reference(source, detector, dfs):
+    """50k blocks drawn whole against 50k built pulse by pulse: the pulse
+    counts (10 bins, df 9) and the photon flags (df 1) agree by a
+    two-sample chi-square test at the 0.001 level. A sure outcome fills
+    one bin (df 0), and then both samples must hold only it."""
+    n = 50_000
+    u_block, u_ref = _UniformStream(41, 0), _UniformStream(42, 0)
+    block = np.array([_base_block(source, detector, u_block) for _ in range(n)])
+    ref = np.array([_reference_block(source, detector, u_ref) for _ in range(n)])
+    for column, edges, df in ((0, _PULSE_EDGES, dfs[0]), (1, [0, 1, 2], dfs[1])):
+        stat, got_df = _chi2_two_sample(
+            np.histogram(block[:, column], edges)[0], np.histogram(ref[:, column], edges)[0]
+        )
+        assert got_df == df
+        assert stat <= _CHI2_CRIT_999[df], f"column {column}: chi2 {stat:.2f} on {df} df"
+
+
+class _ConstantStream:
+    """A stub uniform stream that always returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def next(self):
+        return self.value
+
+
+def test_base_block_inverse_cdf_edges():
+    source, detector = SourceModel(0.1), DetectorModel(0.7)
+    assert _base_block(source, detector, _ConstantStream(0.0))[0] == 1
+    pulses, _ = _base_block(source, detector, _ConstantStream(1.0 - 2.0**-53))
+    assert isinstance(pulses, int) and 1 <= pulses < 10**4
+    # A sure click (p_click == 1) takes one pulse and carries the photon,
+    # without evaluating log1p(-1).
+    for source, detector in [
+        (SourceModel(1.0), DetectorModel(1.0)),
+        (SourceModel(1.0), DetectorModel(1.0, number_resolving=True)),
+        (SourceModel(1.0), DetectorModel(1.0, dark_count_prob=0.3)),
+    ]:
+        for value in (0.0, 0.5, 1.0 - 2.0**-53):
+            assert _base_block(source, detector, _ConstantStream(value)) == (1, True)
+
+
+@pytest.mark.parametrize("policy", ["both", "kept"])
+def test_campaign_with_block_draws_matches_pulse_loop(monkeypatch, policy):
+    """The same run_campaign with level 0 drawn per block and per pulse:
+    per-level p_hat and a_hat agree at 4 sigma and the pulse totals by a
+    two-sample KS test at the 0.001 level."""
+    params = ProtocolParams(3, 0.3, 0.8)
+    source = SourceModel(0.3)
+    detector = DetectorModel(0.8, dark_count_prob=0.02, number_resolving=True)
+    trials = 1500
+    block = run_campaign(params, source, detector, trials=trials, seed=61, policy=policy)
+    monkeypatch.setattr(montecarlo, "_base_block", _reference_block)
+    ref = run_campaign(params, source, detector, trials=trials, seed=62, policy=policy)
+    for row_b, row_r in zip(block.per_level, ref.per_level):
+        for hits, n in ((("acceptances", "attempts")), ("good", "acceptances")):
+            k_b, n_b = getattr(row_b, hits), getattr(row_b, n)
+            k_r, n_r = getattr(row_r, hits), getattr(row_r, n)
+            pooled = (k_b + k_r) / (n_b + n_r)
+            sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_b + 1.0 / n_r))
+            assert abs(k_b / n_b - k_r / n_r) <= 4.0 * sigma, (row_b.level, hits)
+    # 1.949 = sqrt(-ln(0.0005) / 2), the two-sided 0.001 point of KS
+    ks_crit = 1.949 * math.sqrt(2.0 / trials)
+    assert _ks_two_sample(block.total_pulses, ref.total_pulses) <= ks_crit
 
 
 def test_connection_outcome_distribution_two_photons():
