@@ -198,7 +198,7 @@ def test_campaign_with_block_draws_matches_pulse_loop(monkeypatch, policy):
     monkeypatch.setattr(montecarlo, "_base_block", _reference_block)
     ref = run_campaign(params, source, detector, trials=trials, seed=62, policy=policy)
     for row_b, row_r in zip(block.per_level, ref.per_level):
-        for hits, n in ((("acceptances", "attempts")), ("good", "acceptances")):
+        for hits, n in (("acceptances", "attempts"), ("good", "acceptances")):
             k_b, n_b = getattr(row_b, hits), getattr(row_b, n)
             k_r, n_r = getattr(row_r, hits), getattr(row_r, n)
             pooled = (k_b + k_r) / (n_b + n_r)
