@@ -31,12 +31,17 @@ from .scaling import (
     csv_table,
     naive_time_log10,
     scaling_table,
-    total_time_approx,
     total_time_approx_log10,
     total_time_exact_log10,
 )
 
 _ORACLE_QUBIT_CAP = 8
+# a_closed_form takes 2**m as a float, which overflows past m = 1023.
+_MAX_ANALYZE_LEVELS = 1023
+# A trial builds at least 2**(m-1) level-0 blocks, one stack frame per
+# level: m = 40 is 5.5e11 blocks, days per trial, and deeper runs meet
+# Python's recursion limit near m = 990.
+_MAX_SIMULATE_LEVELS = 40
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -109,18 +114,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, subparsers
 
 
-def _parse_config_value(raw: str):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+# Words an on/off flag accepts in a config file.
+_SWITCH_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
 def _load_config(path: str) -> dict:
@@ -133,7 +128,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = _parse_config_value(value)
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -153,10 +148,18 @@ def _apply_config(argv: list[str], subparsers: dict[str, argparse.ArgumentParser
     if sub is None:
         return
     values = _load_config(path)
-    known = {action.dest for action in sub._actions}
-    unknown = set(values) - known
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
+    # String defaults go through each flag's type when argparse parses;
+    # only on/off flags, which take no value, translate words here.
+    for key, value in values.items():
+        if actions[key].nargs == 0:
+            if value.lower() not in _SWITCH_WORDS:
+                raise ValueError(
+                    f"config key {key}: expected true/yes/on or false/no/off, got {value!r}")
+            values[key] = _SWITCH_WORDS[value.lower()]
     sub.set_defaults(**values)
 
 
@@ -164,6 +167,11 @@ def _require(args, *names: str) -> None:
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
+
+
+def _check_levels(m: int, cap: int) -> None:
+    if m > cap:
+        raise ValueError(f"--m must be at most {cap}, got {m}")
 
 
 def _resolve_t0(args) -> float | None:
@@ -193,6 +201,7 @@ def cmd_analyze(args) -> int:
 
     if args.m is None:
         raise ValueError("analyze needs --m (or --naive with --n)")
+    _check_levels(args.m, _MAX_ANALYZE_LEVELS)
     params = ProtocolParams(m=args.m, eta_s=args.eta_s, eta_d=args.eta_d)
     rows = scaling_table(args.m, args.eta_s, args.eta_d)
     if args.csv:
@@ -212,13 +221,14 @@ def cmd_analyze(args) -> int:
     if t0 is not None:
         if math.isfinite(head.t_exact_over_t0):
             print(f"T_exact  = {head.t_exact_over_t0 * t0:.6g} s at t0 = {t0:.4g} s")
-        t_approx = total_time_approx(params.n, args.eta_s, args.eta_d)
-        print(f"T_approx = {t_approx * t0:.6g} s at t0 = {t0:.4g} s")
+        if math.isfinite(head.t_approx_over_t0):
+            print(f"T_approx = {head.t_approx_over_t0 * t0:.6g} s at t0 = {t0:.4g} s")
     return 0
 
 
 def cmd_simulate(args) -> int:
     _require(args, "m", "eta_s", "eta_d")
+    _check_levels(args.m, _MAX_SIMULATE_LEVELS)
     params = ProtocolParams(m=args.m, eta_s=args.eta_s, eta_d=args.eta_d)
     source = SourceModel(eta_s=args.eta_s)
     detector = DetectorModel(

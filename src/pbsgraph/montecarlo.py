@@ -104,13 +104,14 @@ class _UniformStream:
             raise ValueError("seed must fit in 64 bits")
         key = (seed << 64) | (trial_index & ((1 << 64) - 1))
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._buf = self._gen.random(block)
+        # Python floats: arithmetic on numpy scalars is several times slower.
+        self._buf = self._gen.random(block).tolist()
         self._pos = 0
 
     def next(self) -> float:
         buf, pos = self._buf, self._pos
         if pos == len(buf):
-            buf = self._buf = self._gen.random(len(buf))
+            buf = self._buf = self._gen.random(len(buf)).tolist()
             pos = 0
         self._pos = pos + 1
         return buf[pos]

@@ -22,7 +22,7 @@ from typing import ClassVar, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
 from .graphs import Graph, apply_pbs_gate, graph_to_stabilizers, join_edges, stabilizers_to_graph
-from .pauli import PauliString, StabilizerGroup
+from .pauli import StabilizerGroup
 
 
 class _Op:
@@ -88,9 +88,16 @@ def _instruction(op: object, qubits: object) -> Instruction:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A program of instructions, well formed by construction:
+    validate_schedule runs on every new Schedule and raises ValueError
+    for a malformed one."""
+
     instructions: tuple[Instruction, ...]
     target: Graph | None = None
     levels: int | None = None
+
+    def __post_init__(self) -> None:
+        validate_schedule(self)
 
     def gate_count(self) -> int:
         return sum(1 for ins in self.instructions if isinstance(ins, PbsGate))
@@ -549,70 +556,41 @@ def _search_stabilizer(
 
 
 def execute_schedule(sched: Schedule) -> tuple[float, StabilizerGroup, Graph | None]:
-    """Run a schedule through the stabilizer engine from an empty register.
+    """Run a schedule through the stabilizer engine.
 
-    Measure instructions are recorded for bookkeeping but never applied.
-    Returns the cumulative postselection probability, the validated final
-    group re-indexed so qubit ids appear in sorted order, and the graph whose
+    Every pair is laid out up front, with qubit ids in sorted order, as
+    the graph state of the pairs' edges: creating a pair commutes with
+    every gate on other qubits, and a valid schedule gates only qubits
+    that already exist. Measure instructions are bookkeeping and never
+    applied. Returns the cumulative postselection probability, the
+    validated final group indexed in sorted id order, and the graph whose
     state that group stabilizes (None when it is not in graph form or
-    when a gate outcome was impossible, which also zeroes the
-    probability and stops execution).
+    when a gate outcome was impossible). An impossible gate zeroes the
+    probability, stops execution and returns the group of the qubits
+    created before that gate.
     """
-    validate_schedule(sched)
-    labels: list[int] = []
-    group = StabilizerGroup(0, ())
+    ids = sched.qubit_ids()
+    index = {q: i for i, q in enumerate(ids)}
+    pairs = [(index[ins.q_a], index[ins.q_b])
+             for ins in sched.instructions if isinstance(ins, CreatePair)]
+    group = graph_to_stabilizers(Graph.from_edges(len(ids), pairs))
     prob = 1.0
-    for ins in sched.instructions:
-        if isinstance(ins, CreatePair):
-            group = _extend_with_pair(group, len(labels), len(labels) + 1)
-            labels.extend((ins.q_a, ins.q_b))
-        elif isinstance(ins, PbsGate):
-            gate_prob, new_group = apply_pbs_gate(group, labels.index(ins.i1), labels.index(ins.i2))
+    for k, ins in enumerate(sched.instructions):
+        if isinstance(ins, PbsGate):
+            gate_prob, new_group = apply_pbs_gate(group, index[ins.i1], index[ins.i2])
             if new_group is None:
-                return 0.0, _reindex_sorted(group, labels).validate(), None
+                return 0.0, execute_schedule(Schedule(sched.instructions[:k]))[1], None
             prob *= gate_prob
             group = new_group
         elif isinstance(ins, Hadamard):
-            group = group.apply_hadamard(labels.index(ins.q))
-        # Measure: recorded by validate_schedule's pass; no tableau action.
-    group = _reindex_sorted(group, labels).validate()
-    return prob, group, stabilizers_to_graph(group)
-
-
-def _extend_with_pair(group: StabilizerGroup, idx_a: int, idx_b: int) -> StabilizerGroup:
-    n = group.num_qubits + 2
-    generators = [PauliString(n, g.x_bits, g.z_bits, g.phase) for g in group.generators]
-    generators.append(PauliString(n, x_bits=1 << idx_a, z_bits=1 << idx_b, phase=0))
-    generators.append(PauliString(n, x_bits=1 << idx_b, z_bits=1 << idx_a, phase=0))
-    return StabilizerGroup(n, tuple(generators))
-
-
-def _reindex_sorted(group: StabilizerGroup, labels: list[int]) -> StabilizerGroup:
-    """Permute qubits so that sorted(labels)[i] sits at index i."""
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    position = {old: new for new, old in enumerate(order)}
-    if all(position[i] == i for i in range(len(labels))):
-        return group
-
-    def permute(mask: int) -> int:
-        out = 0
-        for old, new in position.items():
-            if mask >> old & 1:
-                out |= 1 << new
-        return out
-
-    generators = tuple(
-        PauliString(g.num_qubits, permute(g.x_bits), permute(g.z_bits), g.phase)
-        for g in group.generators
-    )
-    return StabilizerGroup(group.num_qubits, generators)
+            group = group.apply_hadamard(index[ins.q])
+    return prob, group.validate(), stabilizers_to_graph(group)
 
 
 def execute_schedule_fock(sched: Schedule) -> tuple[float, FockState | None]:
     """Second-quantized execution with per-gate postselection on one
     photon in each of the gate's two ports. Measure is bookkeeping only;
     ports keep the schedule's qubit ids."""
-    validate_schedule(sched)
     state: FockState | None = None
     prob = 1.0
     for ins in sched.instructions:
@@ -659,9 +637,7 @@ def parse_schedule(text: str) -> Schedule:
             instructions.append(_instruction(op, values))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
-    sched = Schedule(tuple(instructions))
-    validate_schedule(sched)
-    return sched
+    return Schedule(tuple(instructions))
 
 
 def schedule_json_dict(sched: Schedule) -> dict:
@@ -681,6 +657,4 @@ def schedule_from_json_dict(doc: dict) -> Schedule:
             instructions.append(_instruction(entry.get("op"), entry.get("qubits")))
         except ValueError as exc:
             raise ValueError(f"instruction {index}: {exc}") from None
-    sched = Schedule(tuple(instructions))
-    validate_schedule(sched)
-    return sched
+    return Schedule(tuple(instructions))

@@ -151,6 +151,35 @@ def test_simulate_rejects_bad_budgets_before_running(monkeypatch, capsys):
         assert captured.out == ""
 
 
+def test_simulate_and_analyze_bound_levels_at_the_boundary(monkeypatch, capsys):
+    """Levels above each command's cap exit 2 before any trial runs; the
+    caps themselves are accepted (simulate with its trials stubbed out)."""
+    import pbsgraph.cli as cli
+    import pbsgraph.montecarlo as montecarlo
+
+    ran = []
+
+    def no_trials(args):
+        ran.append(args)
+        return [], [1], [1]
+
+    monkeypatch.setattr(montecarlo, "_run_trial_range", no_trials)
+    sim = ["simulate", "--eta-s", "0.5", "--eta-d", "0.8", "--trials", "1", "--no-timestamp"]
+    assert main(sim + ["--m", str(cli._MAX_SIMULATE_LEVELS)]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["m"] == cli._MAX_SIMULATE_LEVELS
+    for m in (cli._MAX_SIMULATE_LEVELS + 1, 10**6):
+        assert main(sim + ["--m", str(m)]) == 2
+        assert f"--m must be at most {cli._MAX_SIMULATE_LEVELS}, got {m}" in capsys.readouterr().err
+    assert len(ran) == 1
+
+    analyze = ["analyze", "--eta-s", "0.5", "--eta-d", "0.8", "--rep-rate-hz", "1e6"]
+    assert main(analyze + ["--m", str(cli._MAX_ANALYZE_LEVELS)]) == 0
+    assert "T_approx/t0 = inf" in capsys.readouterr().out
+    for m in (cli._MAX_ANALYZE_LEVELS + 1, 10**6):
+        assert main(analyze + ["--m", str(m)]) == 2
+        assert f"--m must be at most {cli._MAX_ANALYZE_LEVELS}, got {m}" in capsys.readouterr().err
+
+
 def test_simulate_marks_analytics_as_ideal_detector_only(capsys):
     args = ["simulate", "--m", "1", "--eta-s", "0.5", "--eta-d", "0.8",
             "--trials", "5", "--seed", "1", "--no-timestamp"]
@@ -252,6 +281,24 @@ def test_verify_rejects_malformed_schedule(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_validates_the_schedule_once(monkeypatch, tmp_path, capsys):
+    import pbsgraph.planner as planner
+
+    path = tmp_path / "p.sched"
+    path.write_text(planner.schedule_text(planner.plan_tree_protocol(3)))
+    calls = []
+    original = planner.validate_schedule
+
+    def counting(sched):
+        calls.append(sched)
+        original(sched)
+
+    monkeypatch.setattr(planner, "validate_schedule", counting)
+    assert main(["verify", str(path)]) == 0
+    assert "probability: 0.0078125" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_verify_empty_schedule(tmp_path, capsys):
     empty = tmp_path / "empty.sched"
     empty.write_text("# nothing yet\n")
@@ -285,6 +332,32 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("m = 2\nwarp_speed = 9\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_values_take_each_flags_type(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sim.cfg"
+    base = "m = 2\neta_s = 0.5\neta_d = 0.8\ntrials = 5\nno-timestamp = yes\n"
+    cfg.write_text(base + "policy = kept\nout = res.json\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert "wrote res.json" in capsys.readouterr().out
+    assert json.loads((tmp_path / "res.json").read_text())["params"]["policy"] == "kept"
+
+    cfg.write_text(base + "no_timestamp = off\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert "timestamp" in json.loads(capsys.readouterr().out)
+
+    for bad, message in (("trials = 2.5", "invalid int value: '2.5'"),
+                         ("m = 2.0", "invalid int value: '2.0'"),
+                         ("eta-s = true", "invalid float value: 'true'"),
+                         ("no_timestamp = maybe", "expected true/yes/on or false/no/off")):
+        cfg.write_text(base + bad + "\n")
+        try:
+            code = main(["simulate", "--config", str(cfg)])
+        except SystemExit as exc:  # argparse rejects a value it cannot convert
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_analyze_t0_seconds_overrides_rep_rate(capsys):

@@ -79,6 +79,15 @@ def test_uniform_stream_is_keyed_by_trial():
         _UniformStream(1 << 64, 0)
 
 
+def test_uniform_stream_returns_the_generators_draws_as_python_floats():
+    u = _UniformStream(5, 3, block=16)
+    key = (5 << 64) | 3
+    expected = np.random.Generator(np.random.Philox(key=key)).random(40)  # crosses two refills
+    drawn = [u.next() for _ in range(40)]
+    assert all(type(x) is float for x in drawn)
+    assert drawn == expected.tolist()
+
+
 def test_base_pair_click_rate():
     source, detector = SourceModel(0.3), DetectorModel(0.5)
     u = _UniformStream(7, 0)

@@ -280,10 +280,12 @@ def test_execute_schedule_impossible_gate(monkeypatch):
     import pbsgraph.planner as planner_module
 
     monkeypatch.setattr(planner_module, "apply_pbs_gate", lambda group, i1, i2: (0.0, None))
-    sched = Schedule((CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2)))
-    prob, group, graph = execute_schedule(sched)
-    assert prob == 0.0 and graph is None
-    assert group.num_qubits == 4
+    before = (CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2))
+    # A pair created after the impossible gate is not in the returned group.
+    for sched in (Schedule(before), Schedule(before + (CreatePair(4, 5),))):
+        prob, group, graph = execute_schedule(sched)
+        assert prob == 0.0 and graph is None
+        assert group.num_qubits == 4
 
 
 def test_execute_schedule_validates_its_result(monkeypatch):
@@ -363,6 +365,11 @@ def test_parse_schedule_accepts_comments_and_rejects_garbage():
 
 
 def test_validate_schedule_rejects_malformed_programs():
+    # A Schedule validates itself when it is built.
+    with pytest.raises(ValueError, match="before it is created"):
+        Schedule((PbsGate(0, 1),))
+    with pytest.raises(ValueError, match="created twice"):
+        Schedule((CreatePair(0, 1), CreatePair(1, 2)), levels=1)
     with pytest.raises(ValueError):
         validate_schedule(Schedule((CreatePair(0, 0),)))
     with pytest.raises(ValueError):
