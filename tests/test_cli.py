@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import gc
 import json
 
 import pytest
@@ -358,6 +359,27 @@ def test_config_values_take_each_flags_type(tmp_path, capsys, monkeypatch):
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+def test_calls_leave_no_cyclic_garbage_or_config_defaults(tmp_path, capsys):
+    # Cyclic garbage from each call makes in-process callers stall in
+    # full collections; a --config call must not leave its defaults behind.
+    sched = tmp_path / "two.sched"
+    sched.write_text("PAIR 0 1\nPAIR 2 3\nPBS 1 2\n")
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("oracle = yes\n")
+    assert main(["verify", str(sched), "--config", str(cfg)]) == 0
+    assert "oracle fidelity" in capsys.readouterr().out
+    assert main(["verify", str(sched)]) == 0
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["verify", str(sched)]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "oracle" not in capsys.readouterr().out
 
 
 def test_analyze_t0_seconds_overrides_rep_rate(capsys):
