@@ -1,5 +1,10 @@
 """Graph states and the polarizing-beam-splitter fusion gate.
 
+A graph on n vertices is held as n adjacency bitmasks: bit j of adj[i]
+is the edge (i, j). Row i is exactly the Z part of the graph-state
+generator of vertex i, and every iteration over a mask visits its set
+bits lowest first (`bits`).
+
 A graph state on n vertices is the stabilizer state with one generator
 per vertex: X on the vertex, Z on each neighbour, sign +1. The fusion
 gate is a postselected Z x Z parity measurement on two qubits followed
@@ -14,75 +19,101 @@ equivalent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .pauli import PauliString, StabilizerGroup
 
+_MAX_VERTICES = 1 << 16  # per edge-list file: a Graph holds one row per vertex
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError(f"self-loop on vertex {u}")
-    return (u, v) if u < v else (v, u)
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def component_masks(adj: Sequence[int], vertices: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex mask,
+    each a vertex mask, ordered by least vertex."""
+    out = []
+    while vertices:
+        comp = frontier = vertices & -vertices
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & vertices & ~comp
+            comp |= frontier
+        out.append(comp)
+        vertices &= ~comp
+    return out
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges stored as sorted (u, v) pairs."""
+    """Simple undirected graph: bit j of adj[i] is the edge (i, j)."""
 
     num_vertices: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    adj: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range or unsorted")
+        n = self.num_vertices
+        if len(self.adj) != n:
+            raise ValueError(f"{len(self.adj)} adjacency rows for {n} vertices")
+        for i, row in enumerate(self.adj):
+            if row >> n:
+                raise ValueError(f"row {i} has a bit outside 0..{n - 1}")
+            if row >> i & 1:
+                raise ValueError(f"self-loop on vertex {i}")
+            for j in bits(row):
+                if not self.adj[j] >> i & 1:
+                    raise ValueError(f"edge ({i}, {j}) is missing from row {j}")
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(num_vertices, frozenset(_normalize_edge(u, v) for u, v in edges))
+        adj = [0] * num_vertices
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise ValueError(f"edge ({u}, {v}) out of range for {num_vertices} vertices")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return cls(num_vertices, tuple(adj))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set as sorted (u, v) pairs."""
+        return frozenset(self.sorted_edges())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
+        return frozenset(bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        return bool(self.adj[u] >> v & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(i, j) for i, row in enumerate(self.adj) for j in bits(row) if j > i]
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, each a vertex set, ordered by least vertex."""
-        seen: set[int] = set()
-        out = []
-        for start in range(self.num_vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        everyone = (1 << self.num_vertices) - 1
+        return [frozenset(bits(c)) for c in component_masks(self.adj, everyone)]
 
     def is_tree(self) -> bool:
         return (
-            len(self.edges) == self.num_vertices - 1
+            sum(row.bit_count() for row in self.adj) == 2 * (self.num_vertices - 1)
             and len(self.components()) == 1
         )
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         offset = self.num_vertices
-        shifted = {(u + offset, v + offset) for u, v in other.edges}
-        return Graph(offset + other.num_vertices, self.edges | frozenset(shifted))
+        shifted = tuple(row << offset for row in other.adj)
+        return Graph(offset + other.num_vertices, self.adj + shifted)
 
 
 # ===== stabilizer conversions =====
@@ -91,62 +122,36 @@ class Graph:
 def graph_to_stabilizers(graph: Graph) -> StabilizerGroup:
     """Generator for vertex i: X_i times Z on every neighbour, sign +1."""
     n = graph.num_vertices
-    gens = []
-    for i in range(n):
-        ops = {i: "X"}
-        for j in graph.neighbors(i):
-            ops[j] = "Z"
-        gens.append(PauliString.from_ops(n, ops))
-    return StabilizerGroup(n, tuple(gens))
+    return StabilizerGroup(n, tuple(PauliString(n, 1 << i, row) for i, row in enumerate(graph.adj)))
 
 
 def stabilizers_to_graph(group: StabilizerGroup) -> Graph | None:
     """Exact-form extraction: canonical form must be X-part identity,
-    symmetric zero-diagonal Z-part, all signs +1. Returns None otherwise."""
-    n = group.num_qubits
+    zero-diagonal Z-part, all signs +1. Returns None otherwise; Graph
+    raises ValueError if the Z-part is not symmetric."""
     canon = group.canonical_form().generators
-    adjacency = []
-    for i, g in enumerate(canon):
-        if g.x_bits != 1 << i:
-            return None
-        if g.z_bits >> i & 1:
-            return None  # a Y letter on the diagonal is not graph form
-        if g.phase != 0:
-            return None
-        adjacency.append(g.z_bits)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i] >> j & 1:
-                if not adjacency[j] >> i & 1:
-                    raise AssertionError("asymmetric adjacency from a commuting group")
-                edges.add((i, j))
-    return Graph(n, frozenset(edges))
+    # a Z bit on the diagonal makes a Y letter, which is not graph form
+    if any(g.x_bits != 1 << i or g.z_bits >> i & 1 or g.phase for i, g in enumerate(canon)):
+        return None
+    return Graph(group.num_qubits, tuple(g.z_bits for g in canon))
 
 
 # ===== the fusion gate =====
 
 
-def join_edges(
-    edges: frozenset[tuple[int, int]], i1: int, i2: int
-) -> frozenset[tuple[int, int]]:
-    """The join rule on a set of sorted (u, v) edges: i1 becomes adjacent
-    to all of i2's old neighbours and to i2 itself; i2 keeps only the
-    edge to i1. This is exactly what the fusion gate does when i1 and i2
-    lie in different components; within one component it is not."""
-    joined = {(i1, i2) if i1 < i2 else (i2, i1)}
-    for edge in edges:
-        u, v = edge
-        if u == i2:
-            other = v
-        elif v == i2:
-            other = u
-        else:
-            joined.add(edge)
-            continue
-        if other != i1:
-            joined.add((i1, other) if i1 < other else (other, i1))
-    return frozenset(joined)
+def join_adjacency(adj: tuple[int, ...], i1: int, i2: int) -> tuple[int, ...]:
+    """The join rule on adjacency masks: i1 becomes adjacent to all of
+    i2's old neighbours and to i2 itself; i2 keeps only the edge to i1.
+    This is exactly what the fusion gate does when i1 and i2 lie in
+    different components; within one component it is not."""
+    b1, b2 = 1 << i1, 1 << i2
+    moved = adj[i2] & ~b1
+    joined = list(adj)
+    for w in bits(moved):
+        joined[w] = joined[w] & ~b2 | b1
+    joined[i1] = adj[i1] | moved | b2
+    joined[i2] = b1
+    return tuple(joined)
 
 
 def pbs_join_graphs(graph_a: Graph, i1: int, graph_b: Graph, i2: int) -> Graph:
@@ -158,7 +163,7 @@ def pbs_join_graphs(graph_a: Graph, i1: int, graph_b: Graph, i2: int) -> Graph:
     if not 0 <= i2 < graph_b.num_vertices:
         raise ValueError(f"i2={i2} out of range")
     union = graph_a.disjoint_union(graph_b)
-    return Graph(union.num_vertices, join_edges(union.edges, i1, graph_a.num_vertices + i2))
+    return Graph(union.num_vertices, join_adjacency(union.adj, i1, graph_a.num_vertices + i2))
 
 
 def apply_pbs_gate(group: StabilizerGroup, i1: int, i2: int) -> tuple[float, StabilizerGroup | None]:
@@ -197,7 +202,9 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"bad vertex count {header[1]!r}") from exc
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    edges = set()
+    if n > _MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {_MAX_VERTICES}")
+    edges = []
     for lineno, line in lines[1:]:
         parts = line.split()
         try:
@@ -206,10 +213,12 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            edges.add(_normalize_edge(u, v))
+            if u == v:
+                raise ValueError(f"self-loop on vertex {u}")
+            edges.append((u, v))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Graph(n, frozenset(edges))
+    return Graph.from_edges(n, edges)
 
 
 def edge_list_text(graph: Graph) -> str:

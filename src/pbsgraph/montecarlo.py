@@ -340,8 +340,9 @@ class SimResult:
 
     def analytic_block(self) -> dict:
         """Closed-form predictions at the operating point. They assume an
-        ideal threshold detector (no dark counts, not number-resolving);
-        matches_simulated_detector says whether that is the simulated one."""
+        ideal threshold detector (no dark counts, not number-resolving)
+        and the `both` policy; matches_simulated_detector says whether
+        that is the simulated model."""
         m = self.params.m
         a_list = [a_closed_form(level, self.params.eta_d) for level in range(m)]
         p_list = [base_success_prob(self.params.eta_s, self.params.eta_d)]
@@ -358,6 +359,7 @@ class SimResult:
             ),
             "matches_simulated_detector": (
                 self.detector.dark_count_prob == 0 and not self.detector.number_resolving
+                and self.policy == "both"
             ),
         }
 

@@ -21,7 +21,15 @@ from dataclasses import astuple, dataclass, fields
 from typing import ClassVar, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
-from .graphs import Graph, apply_pbs_gate, graph_to_stabilizers, join_edges, stabilizers_to_graph
+from .graphs import (
+    Graph,
+    apply_pbs_gate,
+    bits,
+    component_masks,
+    graph_to_stabilizers,
+    join_adjacency,
+    stabilizers_to_graph,
+)
 from .pauli import StabilizerGroup
 
 
@@ -213,18 +221,18 @@ def plan_tree_protocol(m: int) -> Schedule:
 
 
 def _graph_from_join_instructions(instructions: list[Instruction]) -> Graph:
-    """Track the edge set of a pairs-and-inter-gates schedule directly
-    with the join rewrite rule, then relabel to 0..n-1 in id order."""
-    edges: frozenset[tuple[int, int]] = frozenset()
-    labels: list[int] = []
+    """Apply the join rule to the graph of all pairs, qubits indexed in
+    sorted id order: creating a pair commutes with every gate on other
+    qubits."""
+    ids = sorted(q for ins in instructions if isinstance(ins, CreatePair) for q in ins.qubits)
+    index = {q: i for i, q in enumerate(ids)}
+    pairs = [(index[ins.q_a], index[ins.q_b])
+             for ins in instructions if isinstance(ins, CreatePair)]
+    adj = Graph.from_edges(len(ids), pairs).adj
     for ins in instructions:
-        if isinstance(ins, CreatePair):
-            edges |= {tuple(sorted(ins.qubits))}
-            labels.extend(ins.qubits)
-        elif isinstance(ins, PbsGate):
-            edges = join_edges(edges, ins.i1, ins.i2)
-    index = {q: i for i, q in enumerate(sorted(labels))}
-    return Graph.from_edges(len(labels), [(index[u], index[v]) for u, v in edges])
+        if isinstance(ins, PbsGate):
+            adj = join_adjacency(adj, index[ins.i1], index[ins.i2])
+    return Graph(len(ids), adj)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +257,32 @@ def plan_join_sequence(target: Graph) -> Schedule | None:
     n = target.num_vertices
     if n % 2 == 1:
         return None
-    adjacency = {v: tuple(sorted(target.neighbors(v))) for v in range(n)}
     memo: dict[tuple, bool] = {}
-    instructions = _plan_tree(adjacency, memo)
+    instructions = _plan_tree(target.adj, (1 << n) - 1, memo)
     if instructions is None:
         return None
     sched = Schedule(tuple(instructions), target=target)
     return sched
 
 
-def _plan_tree(adj: dict[int, tuple[int, ...]], memo: dict[tuple, bool]) -> list[Instruction] | None:
-    vertices = sorted(adj)
-    if len(vertices) % 2 == 1:
+def _plan_tree(adj: tuple[int, ...], verts: int, memo: dict[tuple, bool]) -> list[Instruction] | None:
+    """Plan the tree on the vertex mask verts, whose rows in adj stay
+    inside verts."""
+    size = verts.bit_count()
+    if size % 2 == 1:
         return None
-    if len(vertices) == 2:
-        a, b = vertices
-        return [CreatePair(a, b)]
-    key = _tree_canonical(adj)
+    if size == 2:
+        return [CreatePair(*bits(verts))]
+    key = _tree_canonical(adj, verts)
     if memo.get(key) is False:
         return None
 
-    for leaf in vertices:
-        if len(adj[leaf]) != 1:
+    for leaf in bits(verts):
+        if adj[leaf].bit_count() != 1:
             continue
-        support = adj[leaf][0]
-        subtrees = _subtrees_off(adj, support, leaf)
-        odd_flags = [len(members) % 2 == 1 for members, _root in subtrees]
+        support = adj[leaf].bit_length() - 1
+        subtrees = _subtrees_off(adj, verts, support, leaf)
+        odd_flags = [members.bit_count() % 2 == 1 for members, _root in subtrees]
         for mask in range(1 << len(subtrees)):
             to_leaf_odd = sum(1 for i, odd in enumerate(odd_flags) if odd and mask >> i & 1)
             to_support_odd = sum(odd_flags) - to_leaf_odd
@@ -282,10 +290,10 @@ def _plan_tree(adj: dict[int, tuple[int, ...]], memo: dict[tuple, bool]) -> list
                 continue
             support_side = [t for i, t in enumerate(subtrees) if not mask >> i & 1]
             leaf_side = [t for i, t in enumerate(subtrees) if mask >> i & 1]
-            sub_a = _plan_tree(_attach(adj, support, support_side), memo)
+            sub_a = _plan_tree(*_attach(adj, support, support_side), memo)
             if sub_a is None:
                 continue
-            sub_b = _plan_tree(_attach(adj, leaf, leaf_side), memo)
+            sub_b = _plan_tree(*_attach(adj, leaf, leaf_side), memo)
             if sub_b is None:
                 continue
             memo[key] = True
@@ -295,81 +303,64 @@ def _plan_tree(adj: dict[int, tuple[int, ...]], memo: dict[tuple, bool]) -> list
 
 
 def _subtrees_off(
-    adj: dict[int, tuple[int, ...]], support: int, leaf: int
-) -> list[tuple[list[int], int]]:
-    """Components of the tree minus `support`, excluding the bare leaf.
-    Each comes back as (sorted members, root adjacent to support)."""
-    out = []
-    for root in adj[support]:
-        if root == leaf:
-            continue
-        members = [root]
-        stack = [(root, support)]
-        while stack:
-            v, parent = stack.pop()
-            for w in adj[v]:
-                if w != parent:
-                    members.append(w)
-                    stack.append((w, v))
-        out.append((sorted(members), root))
-    out.sort(key=lambda item: item[0][0])
-    return out
+    adj: tuple[int, ...], verts: int, support: int, leaf: int
+) -> list[tuple[int, int]]:
+    """Components of the tree minus `support`, excluding the bare leaf,
+    ordered by least member. Each comes back as (member mask, bit of the
+    root adjacent to support)."""
+    rest = verts & ~(1 << support | 1 << leaf)
+    return [(members, members & adj[support]) for members in component_masks(adj, rest)]
 
 
 def _attach(
-    adj: dict[int, tuple[int, ...]],
-    hub: int,
-    subtrees: list[tuple[list[int], int]],
-) -> dict[int, tuple[int, ...]]:
-    """Adjacency of hub plus the given subtrees, with each subtree's
-    root connected to the hub. Each subtree meets the removed support
-    vertex at its root only, so this is exact for both sides of the
-    decomposition: the support keeps precisely its root edges, and the
-    leaf acquires the roots it had before the join."""
-    keep = {hub}
-    for members, _root in subtrees:
-        keep.update(members)
-    roots = {root for _members, root in subtrees}
-    new_adj: dict[int, list[int]] = {v: [] for v in keep}
-    for v in keep:
-        if v == hub:
-            continue
-        for w in adj[v]:
-            if w in keep and w != hub:
-                new_adj[v].append(w)
-    for root in sorted(roots):
-        new_adj[hub].append(root)
-        new_adj[root].append(hub)
-    return {v: tuple(sorted(ws)) for v, ws in new_adj.items()}
+    adj: tuple[int, ...], hub: int, subtrees: list[tuple[int, int]]
+) -> tuple[tuple[int, ...], int]:
+    """Adjacency and vertex mask of hub plus the given subtrees, with each
+    subtree's root connected to the hub. Each subtree meets the removed
+    support vertex at its root only, so this is exact for both sides of
+    the decomposition: the support keeps precisely its root edges, and
+    the leaf acquires the roots it had before the join."""
+    keep = roots = 0
+    for members, root in subtrees:
+        keep |= members
+        roots |= root
+    new_adj = list(adj)
+    for v in bits(keep):
+        new_adj[v] = adj[v] & keep
+    for v in bits(roots):
+        new_adj[v] |= 1 << hub
+    new_adj[hub] = roots
+    return tuple(new_adj), keep | 1 << hub
 
 
-def _tree_canonical(adj: dict[int, tuple[int, ...]]) -> tuple:
+def _tree_canonical(adj: tuple[int, ...], verts: int) -> tuple:
     """Isomorphism-class key: rooted shape code taken at the centroid(s)."""
-    centroids = _centroids(adj)
-    return tuple(sorted(_rooted_code(adj, c) for c in centroids))
+    return tuple(sorted(_rooted_code(adj, c) for c in _centroids(adj, verts)))
 
 
-def _centroids(adj: dict[int, tuple[int, ...]]) -> list[int]:
-    n = len(adj)
-    start = next(iter(adj))
+def _centroids(adj: tuple[int, ...], verts: int) -> list[int]:
+    """The vertices whose heaviest branch is lightest; the set does not
+    depend on where the depth-first search starts."""
+    n = verts.bit_count()
+    start = next(bits(verts))
     order = []
     parent = {start: None}
     stack = [start]
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in adj[v]:
+        for w in bits(adj[v]):
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
-    size = {v: 1 for v in adj}
+    size = dict.fromkeys(order, 1)
     for v in reversed(order):
         if parent[v] is not None:
             size[parent[v]] += size[v]
     best, centroids = n + 1, []
-    for v in adj:
+    for v in order:
         heaviest = n - size[v]
-        for w in adj[v]:
+        for w in bits(adj[v]):
             if w != parent[v]:
                 heaviest = max(heaviest, size[w])
         if heaviest < best:
@@ -379,9 +370,9 @@ def _centroids(adj: dict[int, tuple[int, ...]]) -> list[int]:
     return centroids
 
 
-def _rooted_code(adj: dict[int, tuple[int, ...]], root: int) -> tuple:
+def _rooted_code(adj: tuple[int, ...], root: int) -> tuple:
     def code(v: int, parent: int | None) -> tuple:
-        return tuple(sorted(code(w, v) for w in adj[v] if w != parent))
+        return tuple(sorted(code(w, v) for w in bits(adj[v]) if w != parent))
 
     return code(root, None)
 
@@ -474,7 +465,7 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
 
 
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
-    """Search over labeled forests, each keyed by its edge set."""
+    """Search over labeled forests, each keyed by its adjacency masks."""
     n = target.num_vertices
     # Inter-graph joins merge one component per gate, so a spanning tree
     # costs exactly n/2 - 1 of them; deeper search cannot help.
@@ -483,32 +474,21 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
         return None
     # Prebuilt gates: building one per successor costs about half a join.
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
+    everyone = (1 << n) - 1
 
-    def expand(edges: frozenset, _state: None):
-        component = _component_labels(n, edges)
+    def expand(adj: tuple[int, ...], _state: None):
+        outside = [0] * n
+        for comp in component_masks(adj, everyone):
+            for v in bits(comp):
+                outside[v] = everyone & ~comp
         for i1 in range(n):
-            for i2 in range(n):
-                if component[i1] != component[i2]:
-                    yield gates[i1][i2], join_edges(edges, i1, i2), None
+            for i2 in bits(outside[i1]):
+                yield gates[i1][i2], join_adjacency(adj, i1, i2), None
 
     def start(matching: list[tuple[int, int]]):
-        return frozenset(matching), None
+        return Graph.from_edges(n, matching).adj, None
 
-    return _breadth_first(target, start, expand, frozenset(target.edges).__eq__, depth_needed)
-
-
-def _component_labels(n: int, edges: frozenset) -> list[int]:
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return [find(v) for v in range(n)]
+    return _breadth_first(target, start, expand, target.adj.__eq__, depth_needed)
 
 
 def _search_stabilizer(
@@ -516,32 +496,32 @@ def _search_stabilizer(
 ) -> Schedule | None:
     """Breadth-first search over canonical stabilizer groups. When
     intra-graph gates are forbidden, each key also carries the partition
-    of qubits into clusters that have interacted so far, since Hadamards
-    can leave states whose cluster structure the group alone no longer
-    shows."""
+    of qubits into clusters that have interacted so far, as each qubit's
+    cluster mask, since Hadamards can leave states whose cluster
+    structure the group alone no longer shows."""
     n = target.num_vertices
     goal = graph_to_stabilizers(target).canonical_form()
     track_parts = not allow_intra
 
     def start(matching: list[tuple[int, int]]):
-        group = graph_to_stabilizers(Graph.from_edges(n, matching))
-        parts = frozenset(frozenset(p) for p in matching) if track_parts else frozenset()
+        pairs = Graph.from_edges(n, matching)
+        parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
+        group = graph_to_stabilizers(pairs)
         return (group.canonical_form(), parts), group
 
     def expand(key: tuple, group: StabilizerGroup):
         parts = key[1]
-        cluster_of = {q: c for c in parts for q in c}
         for i1 in range(n):
             for i2 in range(n):
-                if i1 == i2 or track_parts and cluster_of[i1] is cluster_of[i2]:
+                if i1 == i2 or track_parts and parts[i1] >> i2 & 1:
                     continue
                 _prob, new_group = apply_pbs_gate(group, i1, i2)
                 if new_group is None:
                     continue
                 new_parts = parts
                 if track_parts:
-                    a, b = cluster_of[i1], cluster_of[i2]
-                    new_parts = (parts - {a, b}) | {a | b}
+                    merged = parts[i1] | parts[i2]
+                    new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
                 yield PbsGate(i1, i2), (new_group.canonical_form(), new_parts), new_group
         if allow_hadamard:
             for q in range(n):

@@ -185,7 +185,7 @@ def test_simulate_marks_analytics_as_ideal_detector_only(capsys):
     args = ["simulate", "--m", "1", "--eta-s", "0.5", "--eta-d", "0.8",
             "--trials", "5", "--seed", "1", "--no-timestamp"]
     for extra, matches in (([], True), (["--dark", "0.05"], False),
-                           (["--number-resolving"], False)):
+                           (["--number-resolving"], False), (["--policy", "kept"], False)):
         assert main(args + extra) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["analytic"]["matches_simulated_detector"] is matches

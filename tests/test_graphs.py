@@ -10,6 +10,7 @@ from pbsgraph.graphs import (
     edge_list_text,
     graph_to_stabilizers,
     parse_edge_list,
+    join_adjacency,
     pbs_join_graphs,
     stabilizers_to_graph,
     to_dot,
@@ -22,8 +23,30 @@ def _random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _join_edges_reference(
+    edges: frozenset[tuple[int, int]], i1: int, i2: int
+) -> frozenset[tuple[int, int]]:
+    """The join rule on a set of sorted (u, v) edges, edge by edge: the
+    slow reference for join_adjacency."""
+    joined = {(i1, i2) if i1 < i2 else (i2, i1)}
+    for edge in edges:
+        u, v = edge
+        if u == i2:
+            other = v
+        elif v == i2:
+            other = u
+        else:
+            joined.add(edge)
+            continue
+        if other != i1:
+            joined.add((i1, other) if i1 < other else (other, i1))
+    return frozenset(joined)
+
+
 def test_graph_basics():
     g = Graph.from_edges(4, [(1, 0), (2, 3)])
+    assert g.adj == (0b0010, 0b0001, 0b1000, 0b0100)
+    assert g.edges == frozenset({(0, 1), (2, 3)})
     assert g.sorted_edges() == [(0, 1), (2, 3)]
     assert g.neighbors(0) == frozenset({1})
     assert g.degree(3) == 1
@@ -33,6 +56,14 @@ def test_graph_basics():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    for adj, message in (
+        ((0b10, 0b00), "missing"),  # asymmetric row
+        ((0b01, 0b00), "self-loop"),
+        ((0b100, 0b000), "outside"),  # bit at n
+        ((0b10, 0b01, 0b00), "rows"),  # three rows for two vertices
+    ):
+        with pytest.raises(ValueError, match=message):
+            Graph(2, adj)
 
 
 def test_is_tree():
@@ -92,6 +123,20 @@ def test_join_rule_inherits_neighbors():
     assert joined.sorted_edges() == [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)]
 
 
+def test_join_adjacency_matches_edge_set_reference():
+    """Masks and the edge-by-edge rule agree, with the endpoints in
+    different components or in one."""
+    rng = random.Random(8)
+    same = 0
+    for _ in range(300):
+        g = _random_graph(rng, rng.randrange(2, 10), rng.random())
+        i1, i2 = rng.sample(range(g.num_vertices), 2)
+        same += any(i1 in c and i2 in c for c in g.components())
+        joined = Graph(g.num_vertices, join_adjacency(g.adj, i1, i2))
+        assert joined.edges == _join_edges_reference(g.edges, i1, i2)
+    assert 50 < same < 250
+
+
 def test_join_rule_matches_tableau():
     """The edge-rewrite prediction must agree with actually measuring
     Z Z and applying the Hadamard on the stabilizer side."""
@@ -140,6 +185,12 @@ def test_edge_list_round_trip_and_errors():
     ):
         with pytest.raises(ValueError, match=line):
             parse_edge_list(text)
+
+
+def test_edge_list_bounds_the_vertex_count():
+    assert parse_edge_list("vertices 65536\n0 65535\n").degree(65535) == 1
+    with pytest.raises(ValueError, match="exceeds 65536"):
+        parse_edge_list("vertices 65537\n")
 
 
 def test_to_dot_is_deterministic():

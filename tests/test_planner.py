@@ -181,6 +181,24 @@ def test_four_cycle_stays_unreachable_even_with_intra_and_hadamards():
     assert brute_force_schedule_search(C4, allow_intra=True, allow_hadamard=True, max_gates=4) is None
 
 
+def test_k33_needs_bare_hadamards():
+    """K3,3 is a local-Clifford image of a joined tree: two inter-cluster
+    gates and two bare Hadamards build it exactly."""
+    k33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+    sched = brute_force_schedule_search(k33, allow_hadamard=True)
+    assert sched is not None
+    assert sched.instructions == (
+        CreatePair(0, 1), CreatePair(2, 4), CreatePair(3, 5),
+        PbsGate(0, 2), PbsGate(1, 3), Hadamard(0), Hadamard(1),
+    )
+    prob, group, graph = execute_schedule(sched)
+    assert prob == 0.25 and graph == k33
+    fock_prob, fock_state = execute_schedule_fock(sched)
+    assert fock_prob == pytest.approx(prob, abs=1e-9)
+    reference = qubit_statevector_from_stabilizers(group, sched.qubit_ids())
+    assert fidelity(fock_state, reference) == pytest.approx(1.0, abs=1e-9)
+
+
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
     """Pairs created between gates, inter- and intra-cluster PBS gates
     and bare Hadamards, on seeded distinct ids in shuffled order.
