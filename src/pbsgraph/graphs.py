@@ -20,19 +20,11 @@ equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .pauli import PauliString, StabilizerGroup
+from .pauli import PauliString, StabilizerGroup, bits
 
 _MAX_VERTICES = 1 << 16  # per edge-list file: a Graph holds one row per vertex
-
-
-def bits(mask: int) -> Iterator[int]:
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def component_masks(adj: Sequence[int], vertices: int) -> list[int]:

@@ -7,17 +7,41 @@ the (x, z) bit pair (Y when both bits are set). Hermitian strings, which
 include every stabilizer generator, have k in {0, 2}, i.e. sign +1 or -1.
 
 Bit j of a mask is qubit j, so masks are plain Python ints and XOR,
-AND and int.bit_count give the group algebra in O(words).
+AND and int.bit_count give the group algebra in O(words). The row
+reduction, validation and measurement work on those ints directly (the
+packed symplectic rows of Aaronson & Gottesman, quant-ph/0406196) and
+build PauliString objects only for the rows they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _LETTERS.items()}
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _row_product(x1: int, z1: int, p1: int, x2: int, z2: int, p2: int) -> tuple[int, int, int]:
+    """The row (x, z, phase) of i**p1 (x1, z1) times i**p2 (x2, z2).
+
+    Per-qubit phase bookkeeping for letter products, summed via popcounts.
+    """
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    phase = (
+        p1 + p2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
+    ) % 4
+    return x3, z3, phase
 
 
 @dataclass(frozen=True)
@@ -30,9 +54,9 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self) -> None:
-        mask = (1 << self.num_qubits) - 1
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
+        mask = (1 << self.num_qubits) - 1
         if self.x_bits & ~mask or self.z_bits & ~mask:
             raise ValueError("bit mask exceeds qubit count")
         if not 0 <= self.phase < 4:
@@ -115,18 +139,8 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.num_qubits != other.num_qubits:
             raise ValueError("qubit counts differ")
-        x1, z1, x2, z2 = self.x_bits, self.z_bits, other.x_bits, other.z_bits
-        x3, z3 = x1 ^ x2, z1 ^ z2
-        # Per-qubit phase bookkeeping for letter products, summed via popcounts.
-        phase = (
-            self.phase
-            + other.phase
-            + (x1 & z1).bit_count()
-            + (x2 & z2).bit_count()
-            + 2 * (z1 & x2).bit_count()
-            - (x3 & z3).bit_count()
-        ) % 4
-        return PauliString(self.num_qubits, x3, z3, phase)
+        row = _row_product(self.x_bits, self.z_bits, self.phase, other.x_bits, other.z_bits, other.phase)
+        return PauliString(self.num_qubits, *row)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """Symplectic inner product: even overlap count means commuting."""
@@ -144,17 +158,18 @@ class PauliString:
 
 
 def _gf2_rank(rows: Iterable[int]) -> int:
-    """Rank of bit-mask rows over GF(2)."""
-    rank = 0
-    pivots: list[int] = []
+    """Rank of bit-mask rows over GF(2): each row is reduced by the pivot
+    kept for its leading bit until it vanishes or leads with a new bit."""
+    pivots: dict[int, int] = {}
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -183,11 +198,28 @@ class StabilizerGroup:
                 raise ValueError(f"generator {g} is not Hermitian")
             if g.is_identity:
                 raise ValueError("identity cannot be a generator")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not gens[i].commutes_with(gens[j]):
-                    raise ValueError(f"generators {i} and {j} anticommute")
-        rows = [g.x_bits | (g.z_bits << n) for g in gens]
+        # Bit i of col_x[q] (col_z[q]) is generator i's X (Z) bit on qubit
+        # q. Generator i's anticommutation row, bit j set when it
+        # anticommutes with generator j, is then the XOR of col_z over its
+        # X support and col_x over its Z support: O(total weight) in all.
+        col_x, col_z = [0] * n, [0] * n
+        for i, g in enumerate(gens):
+            for q in bits(g.x_bits):
+                col_x[q] |= 1 << i
+            for q in bits(g.z_bits):
+                col_z[q] |= 1 << i
+        for i, g in enumerate(gens):
+            anti = 0
+            for q in bits(g.x_bits):
+                anti ^= col_z[q]
+            for q in bits(g.z_bits):
+                anti ^= col_x[q]
+            later = anti >> i + 1
+            if later:
+                j = i + (later & -later).bit_length()
+                raise ValueError(f"generators {i} and {j} anticommute")
+        # X bits high: a graph-state row then leads with its own vertex
+        rows = [g.z_bits | g.x_bits << n for g in gens]
         if _gf2_rank(rows) != n:
             raise ValueError("generators are not independent")
         return self
@@ -246,8 +278,12 @@ class StabilizerGroup:
         n = self.num_qubits
         if q1 == q2:
             raise ValueError("need two distinct qubits")
-        observable = PauliString.from_ops(n, {q1: "Z", q2: "Z"})
-        anti = [i for i, g in enumerate(self.generators) if not g.commutes_with(observable)]
+        for q in (q1, q2):
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range")
+        observable = PauliString(n, 0, 1 << q1 | 1 << q2)
+        # Z_q1 Z_q2 anticommutes with g iff g's X bits on q1 and q2 differ
+        anti = [i for i, g in enumerate(self.generators) if (g.x_bits >> q1 ^ g.x_bits >> q2) & 1]
         if anti:
             first = anti[0]
             g = self.generators[first]
@@ -284,33 +320,40 @@ class StabilizerGroup:
 def _canonical_rows_with_pivots(group: StabilizerGroup) -> list[tuple[PauliString, int]]:
     """RREF rows of the group with their pivot columns.
 
-    Column c < n is x_c, column n + c is z_c. Row operations are Pauli
-    multiplications so phases stay consistent.
+    Column c < n is x_c, column n + c is z_c. Rows are reduced as parallel
+    int lists (x, z, phase) plus the packed x | z << n for the pivot
+    tests; row operations are Pauli products (_row_product), so phases
+    stay consistent. A row no operation touched comes back as the
+    generator it was.
     """
     n = group.num_qubits
-    rows = list(group.generators)
-
-    def bits(p: PauliString) -> int:
-        return p.x_bits | (p.z_bits << n)
-
+    gens = list(group.generators)  # None once a row operation changes the row
+    xs = [g.x_bits for g in gens]
+    zs = [g.z_bits for g in gens]
+    phases = [g.phase for g in gens]
+    packed = [x | z << n for x, z in zip(xs, zs)]
+    m = len(packed)
     pivots: list[int] = []
-    pivot_row = 0
+    top = 0
     for col in range(2 * n):
-        found = None
-        for i in range(pivot_row, len(rows)):
-            if bits(rows[i]) >> col & 1:
-                found = i
+        bit = 1 << col
+        for found in range(top, m):
+            if packed[found] & bit:
                 break
-        if found is None:
+        else:
             continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        for rows in (gens, xs, zs, phases, packed):
+            rows[top], rows[found] = rows[found], rows[top]
+        px, pz, pp, pk = xs[top], zs[top], phases[top], packed[top]
         # Clear the column everywhere else, including rows already
         # pivoted, so the result is fully reduced, not just echelon.
-        for i in range(len(rows)):
-            if i != pivot_row and bits(rows[i]) >> col & 1:
-                rows[i] = rows[i] * rows[pivot_row]
+        for i in range(m):
+            if i != top and packed[i] & bit:
+                xs[i], zs[i], phases[i] = _row_product(xs[i], zs[i], phases[i], px, pz, pp)
+                packed[i] ^= pk
+                gens[i] = None
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
+        top += 1
+        if top == m:
             break
-    return list(zip(rows[: len(pivots)], pivots))
+    return [(gens[i] or PauliString(n, xs[i], zs[i], phases[i]), col) for i, col in enumerate(pivots)]

@@ -17,7 +17,7 @@ does the same in second quantization for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
@@ -41,7 +41,8 @@ class _Op:
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return astuple(self)
+        # an instruction's instance dict holds exactly its fields, in order
+        return tuple(self.__dict__.values())
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class Measure(_Op):
 
 Instruction = Union[CreatePair, PbsGate, Hadamard, Measure]
 _OPS: dict[str, type] = {cls.op: cls for cls in (CreatePair, PbsGate, Hadamard, Measure)}
+_ARITY: dict[type, int] = {cls: len(fields(cls)) for cls in _OPS.values()}
 
 
 def _instruction(op: object, qubits: object) -> Instruction:
@@ -86,7 +88,7 @@ def _instruction(op: object, qubits: object) -> Instruction:
     cls = _OPS.get(op.upper()) if isinstance(op, str) else None
     if cls is None:
         raise ValueError(f"unknown op {op!r}")
-    arity = len(fields(cls))
+    arity = _ARITY[cls]
     if not isinstance(qubits, list) or len(qubits) != arity:
         raise ValueError(f"{cls.op} takes {arity} qubit id(s), got {qubits!r}")
     if any(type(q) is not int for q in qubits):
@@ -250,7 +252,8 @@ def plan_join_sequence(target: Graph) -> Schedule | None:
     each side of even total order (an odd count of odd subtrees), and
     both sides must themselves be buildable. Sources are single edges,
     so odd-order targets fail immediately. Verdicts are memoized by tree
-    isomorphism class; all ties break toward the lowest vertex id.
+    isomorphism class, keyed by rooted-shape labels interned per call;
+    all ties break toward the lowest vertex id.
     """
     if not target.is_tree():
         raise ValueError("join planning requires a tree")
@@ -258,14 +261,17 @@ def plan_join_sequence(target: Graph) -> Schedule | None:
     if n % 2 == 1:
         return None
     memo: dict[tuple, bool] = {}
-    instructions = _plan_tree(target.adj, (1 << n) - 1, memo)
+    shapes: dict[tuple, int] = {}
+    instructions = _plan_tree(target.adj, (1 << n) - 1, memo, shapes)
     if instructions is None:
         return None
     sched = Schedule(tuple(instructions), target=target)
     return sched
 
 
-def _plan_tree(adj: tuple[int, ...], verts: int, memo: dict[tuple, bool]) -> list[Instruction] | None:
+def _plan_tree(
+    adj: tuple[int, ...], verts: int, memo: dict[tuple, bool], shapes: dict[tuple, int]
+) -> list[Instruction] | None:
     """Plan the tree on the vertex mask verts, whose rows in adj stay
     inside verts."""
     size = verts.bit_count()
@@ -273,7 +279,7 @@ def _plan_tree(adj: tuple[int, ...], verts: int, memo: dict[tuple, bool]) -> lis
         return None
     if size == 2:
         return [CreatePair(*bits(verts))]
-    key = _tree_canonical(adj, verts)
+    key = _tree_canonical(adj, verts, shapes)
     if memo.get(key) is False:
         return None
 
@@ -290,10 +296,10 @@ def _plan_tree(adj: tuple[int, ...], verts: int, memo: dict[tuple, bool]) -> lis
                 continue
             support_side = [t for i, t in enumerate(subtrees) if not mask >> i & 1]
             leaf_side = [t for i, t in enumerate(subtrees) if mask >> i & 1]
-            sub_a = _plan_tree(*_attach(adj, support, support_side), memo)
+            sub_a = _plan_tree(*_attach(adj, support, support_side), memo, shapes)
             if sub_a is None:
                 continue
-            sub_b = _plan_tree(*_attach(adj, leaf, leaf_side), memo)
+            sub_b = _plan_tree(*_attach(adj, leaf, leaf_side), memo, shapes)
             if sub_b is None:
                 continue
             memo[key] = True
@@ -333,19 +339,17 @@ def _attach(
     return tuple(new_adj), keep | 1 << hub
 
 
-def _tree_canonical(adj: tuple[int, ...], verts: int) -> tuple:
-    """Isomorphism-class key: rooted shape code taken at the centroid(s)."""
-    return tuple(sorted(_rooted_code(adj, c) for c in _centroids(adj, verts)))
+def _tree_canonical(adj: tuple[int, ...], verts: int, shapes: dict[tuple, int]) -> tuple:
+    """Isomorphism-class key: rooted shape label taken at the centroid(s)."""
+    return tuple(sorted(_rooted_label(adj, c, shapes) for c in _centroids(adj, verts)))
 
 
-def _centroids(adj: tuple[int, ...], verts: int) -> list[int]:
-    """The vertices whose heaviest branch is lightest; the set does not
-    depend on where the depth-first search starts."""
-    n = verts.bit_count()
-    start = next(bits(verts))
+def _depth_first(adj: tuple[int, ...], root: int) -> tuple[list[int], dict[int, int | None]]:
+    """Preorder of the tree from root (parents before children) and each
+    vertex's parent, without recursion."""
     order = []
-    parent = {start: None}
-    stack = [start]
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
@@ -353,6 +357,14 @@ def _centroids(adj: tuple[int, ...], verts: int) -> list[int]:
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
+    return order, parent
+
+
+def _centroids(adj: tuple[int, ...], verts: int) -> list[int]:
+    """The vertices whose heaviest branch is lightest; the set does not
+    depend on where the depth-first search starts."""
+    n = verts.bit_count()
+    order, parent = _depth_first(adj, next(bits(verts)))
     size = dict.fromkeys(order, 1)
     for v in reversed(order):
         if parent[v] is not None:
@@ -370,11 +382,18 @@ def _centroids(adj: tuple[int, ...], verts: int) -> list[int]:
     return centroids
 
 
-def _rooted_code(adj: tuple[int, ...], root: int) -> tuple:
-    def code(v: int, parent: int | None) -> tuple:
-        return tuple(sorted(code(w, v) for w in bits(adj[v]) if w != parent))
-
-    return code(root, None)
+def _rooted_label(adj: tuple[int, ...], root: int, shapes: dict[tuple, int]) -> int:
+    """AHU label of the tree rooted at root: a vertex's shape is the sorted
+    tuple of its children's labels, and shapes interns each distinct
+    shape to an int, so equal labels mean isomorphic rooted trees.
+    Iterative, children before parents, so deep trees cannot overflow
+    the stack."""
+    order, parent = _depth_first(adj, root)
+    label: dict[int, int] = {}
+    for v in reversed(order):
+        shape = tuple(sorted(label[w] for w in bits(adj[v]) if w != parent[v]))
+        label[v] = shapes.setdefault(shape, len(shapes))
+    return label[root]
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,10 @@ def test_join_planner_star_and_paths():
     assert prob == 0.5 and graph == STAR4
 
     assert plan_join_sequence(PATH4) is None
-    path6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
-    assert plan_join_sequence(path6) is None
+    # 2400 vertices: deeper than the interpreter's recursion limit
+    for n in (6, 2400):
+        path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert plan_join_sequence(path) is None
 
 
 def test_join_planner_edge_cases():
