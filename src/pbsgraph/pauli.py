@@ -11,6 +11,12 @@ AND and int.bit_count give the group algebra in O(words). The row
 reduction, validation and measurement work on those ints directly (the
 packed symplectic rows of Aaronson & Gottesman, quant-ph/0406196) and
 build PauliString objects only for the rows they return.
+
+A packed row is one int x | z << n | s << 2n for the Hermitian string of
+sign (-1)**s. Rows of a stabilizer group commute, so their products stay
+Hermitian and one sign bit carries the phase. The brute-force search in
+planner runs on tuples of canonical packed rows through the private
+kernels at the end of this module.
 """
 
 from __future__ import annotations
@@ -31,17 +37,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _row_product(x1: int, z1: int, p1: int, x2: int, z2: int, p2: int) -> tuple[int, int, int]:
-    """The row (x, z, phase) of i**p1 (x1, z1) times i**p2 (x2, z2).
+def _product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
+    """The power of i, mod 4, that the letter products add when (x1, z1)
+    multiplies (x2, z2) from the left.
 
     Per-qubit phase bookkeeping for letter products, summed via popcounts.
     """
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    phase = (
-        p1 + p2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
-        + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
+    return (
+        (x1 & z1).bit_count() + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count() - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
     ) % 4
-    return x3, z3, phase
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,9 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.num_qubits != other.num_qubits:
             raise ValueError("qubit counts differ")
-        row = _row_product(self.x_bits, self.z_bits, self.phase, other.x_bits, other.z_bits, other.phase)
-        return PauliString(self.num_qubits, *row)
+        x1, z1, x2, z2 = self.x_bits, self.z_bits, other.x_bits, other.z_bits
+        phase = self.phase + other.phase + _product_phase(x1, z1, x2, z2)
+        return PauliString(self.num_qubits, x1 ^ x2, z1 ^ z2, phase % 4)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """Symplectic inner product: even overlap count means commuting."""
@@ -245,24 +251,18 @@ class StabilizerGroup:
 
     # ----- membership -----
 
-    def _reduce(self, p: PauliString) -> PauliString:
-        """Multiply p by canonical rows to clear its bits where possible.
-
-        If the residual is (phase-only times) identity, p is in the group
-        up to that phase.
-        """
-        q = p
-        for row, col in _canonical_rows_with_pivots(self):
-            if (q.x_bits | (q.z_bits << self.num_qubits)) >> col & 1:
-                q = q * row
-        return q
+    def _reduce(self, p: PauliString) -> int:
+        """The Hermitian p, packed and reduced by the canonical rows: 0 when
+        p is in the group, the sign bit alone when -p is, and a row with
+        x or z bits left when neither is."""
+        return _residual(_canonical_rows_of(self), _pack(p), self.num_qubits)
 
     def is_stabilized_by(self, p: PauliString) -> bool:
         """True iff p, with its sign, is an element of the group."""
         if p.num_qubits != self.num_qubits:
             raise ValueError("qubit counts differ")
-        residual = self._reduce(p)
-        return residual.is_identity and residual.phase == 0
+        # every element of a stabilizer group is Hermitian
+        return p.is_hermitian and self._reduce(p) == 0
 
     # ----- measurement -----
 
@@ -293,9 +293,9 @@ class StabilizerGroup:
             new_gens[first] = observable
             return 0.5, StabilizerGroup(n, tuple(new_gens))
         residual = self._reduce(observable)
-        if not residual.is_identity:
+        if residual not in (0, 1 << 2 * n):
             raise AssertionError("observable commutes with a maximal group but is not in it")
-        if residual.phase == 0:
+        if residual == 0:
             return 1.0, self
         return 0.0, None
 
@@ -308,8 +308,12 @@ class StabilizerGroup:
         Two groups are equal as groups iff their canonical forms have
         identical generator tuples.
         """
-        rows = [r for r, _ in _canonical_rows_with_pivots(self)]
-        return StabilizerGroup(self.num_qubits, tuple(rows))
+        n = self.num_qubits
+        packed = [_pack(g) for g in self.generators]
+        # an untouched row comes back as its generator: cheaper than a new object
+        given = dict(zip(packed, self.generators))
+        rows = _canonical_rows(packed, n)
+        return StabilizerGroup(n, tuple(given.get(row) or _unpack(row, n) for row in rows))
 
     def equals_group(self, other: "StabilizerGroup") -> bool:
         if self.num_qubits != other.num_qubits:
@@ -317,43 +321,105 @@ class StabilizerGroup:
         return self.canonical_form().generators == other.canonical_form().generators
 
 
-def _canonical_rows_with_pivots(group: StabilizerGroup) -> list[tuple[PauliString, int]]:
-    """RREF rows of the group with their pivot columns.
+# ----- packed rows: the kernels behind canonical_form and the search -----
 
-    Column c < n is x_c, column n + c is z_c. Rows are reduced as parallel
-    int lists (x, z, phase) plus the packed x | z << n for the pivot
-    tests; row operations are Pauli products (_row_product), so phases
-    stay consistent. A row no operation touched comes back as the
-    generator it was.
+
+def _pack(g: PauliString) -> int:
+    """The packed row x | z << n | s << 2n of a Hermitian string."""
+    n = g.num_qubits
+    return g.x_bits | g.z_bits << n | g.phase >> 1 << 2 * n
+
+
+def _unpack(row: int, n: int) -> PauliString:
+    mask = (1 << n) - 1
+    return PauliString(n, row & mask, row >> n & mask, row >> 2 * n << 1)
+
+
+def _packed_product(a: int, b: int, n: int) -> int:
+    """a * b for packed rows that commute; the product is Hermitian, so
+    the letter phase is 0 or 2 and flips the XOR of the sign bits."""
+    mask = (1 << n) - 1
+    phase = _product_phase(a & mask, a >> n & mask, b & mask, b >> n & mask)
+    return a ^ b ^ phase >> 1 << 2 * n
+
+
+def _canonical_rows(rows: Iterable[int], n: int) -> tuple[int, ...]:
+    """The one row reduction: reduced row echelon form of commuting packed
+    rows over columns (x_0..x_{n-1}, z_0..z_{n-1}), bit c being column c.
+
+    Each pivot row clears its column everywhere else, including rows
+    already pivoted, so the result is fully reduced, not just echelon:
+    unique for the group, signs included. Rows come back in pivot order,
+    each leading with its pivot (its lowest set bit); rows that reduce
+    to zero are dropped.
     """
-    n = group.num_qubits
-    gens = list(group.generators)  # None once a row operation changes the row
-    xs = [g.x_bits for g in gens]
-    zs = [g.z_bits for g in gens]
-    phases = [g.phase for g in gens]
-    packed = [x | z << n for x, z in zip(xs, zs)]
-    m = len(packed)
-    pivots: list[int] = []
+    rows = list(rows)
+    m = len(rows)
     top = 0
     for col in range(2 * n):
         bit = 1 << col
         for found in range(top, m):
-            if packed[found] & bit:
+            if rows[found] & bit:
                 break
         else:
             continue
-        for rows in (gens, xs, zs, phases, packed):
-            rows[top], rows[found] = rows[found], rows[top]
-        px, pz, pp, pk = xs[top], zs[top], phases[top], packed[top]
-        # Clear the column everywhere else, including rows already
-        # pivoted, so the result is fully reduced, not just echelon.
+        pivot = rows[found]
+        rows[found] = rows[top]
+        rows[top] = pivot
         for i in range(m):
-            if i != top and packed[i] & bit:
-                xs[i], zs[i], phases[i] = _row_product(xs[i], zs[i], phases[i], px, pz, pp)
-                packed[i] ^= pk
-                gens[i] = None
-        pivots.append(col)
+            if i != top and rows[i] & bit:
+                rows[i] = _packed_product(rows[i], pivot, n)
         top += 1
         if top == m:
             break
-    return [(gens[i] or PauliString(n, xs[i], zs[i], phases[i]), col) for i, col in enumerate(pivots)]
+    return tuple(rows[:top])
+
+
+def _canonical_rows_of(group: StabilizerGroup) -> tuple[int, ...]:
+    """The group's canonical packed rows: canonical_form, packed."""
+    return _canonical_rows(map(_pack, group.generators), group.num_qubits)
+
+
+def _residual(canonical: tuple[int, ...], row: int, n: int) -> int:
+    """A packed row reduced by canonical rows, each clearing its pivot: 0
+    when the row is in their group, 1 << 2n when its negative is."""
+    for pivot_row in canonical:
+        if row & pivot_row & -pivot_row:
+            row = _packed_product(row, pivot_row, n)
+    return row
+
+
+def _zz_postselect_rows(
+    canonical: tuple[int, ...], n: int, q1: int, q2: int
+) -> tuple[float, tuple[int, ...] | None]:
+    """measure_zz_postselect on canonical packed rows: the probability of
+    the +1 outcome of Z_q1 Z_q2 and the rows after keeping it (not
+    canonical in general), or (0.0, None) when it is impossible."""
+    observable = (1 << q1 | 1 << q2) << n
+    # Z_q1 Z_q2 anticommutes with a row iff its X bits on q1 and q2 differ
+    anti = [i for i, row in enumerate(canonical) if (row >> q1 ^ row >> q2) & 1]
+    if not anti:
+        if _residual(canonical, observable, n) == 0:
+            return 1.0, canonical
+        return 0.0, None
+    first = anti[0]
+    g = canonical[first]
+    rows = list(canonical)
+    for i in anti[1:]:
+        rows[i] = _packed_product(rows[i], g, n)
+    rows[first] = observable
+    return 0.5, tuple(rows)
+
+
+def _hadamard_rows(rows: Iterable[int], n: int, q: int) -> tuple[int, ...]:
+    """apply_hadamard on packed rows: X and Z swap on qubit q, and a Y
+    there picks up a sign flip."""
+    x, z, sign = 1 << q, 1 << n + q, 1 << 2 * n
+    out = []
+    for row in rows:
+        if row & x and row & z:
+            row ^= sign
+        elif row & (x | z):
+            row ^= x | z
+        out.append(row)
+    return tuple(out)

@@ -6,9 +6,12 @@ every qubit as soon as no later gate touches it. plan_join_sequence
 decides exactly which trees the inter-graph fusion rule can reach and
 reconstructs a gate sequence when one exists. brute_force_schedule_search
 is the independent oracle: a breadth-first sweep over all schedules on
-at most eight qubits, either on labeled graphs (inter-graph gates only)
-or on canonical stabilizer groups (when intra-graph gates or extra
-Hadamards are allowed).
+at most eight qubits, either on labeled forests held as adjacency masks
+(inter-graph gates only; the last join is tried only where it can hit
+the target) or on stabilizer groups held as tuples of canonical packed
+rows (when intra-graph gates or extra Hadamards are allowed). Both keep
+bare ints as search states; the StabilizerGroup methods that
+execute_schedule uses stay the reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -18,7 +21,7 @@ does the same in second quantization for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Generator, Iterator, Union
 
 from .fock import FockState, make_bell_pair, tensor
 from .graphs import (
@@ -30,7 +33,13 @@ from .graphs import (
     join_adjacency,
     stabilizers_to_graph,
 )
-from .pauli import StabilizerGroup
+from .pauli import (
+    StabilizerGroup,
+    _canonical_rows,
+    _canonical_rows_of,
+    _hadamard_rows,
+    _zz_postselect_rows,
+)
 
 
 class _Op:
@@ -273,7 +282,28 @@ def _plan_tree(
     adj: tuple[int, ...], verts: int, memo: dict[tuple, bool], shapes: dict[tuple, int]
 ) -> list[Instruction] | None:
     """Plan the tree on the vertex mask verts, whose rows in adj stay
-    inside verts."""
+    inside verts. Runs the _plan_steps generators on an explicit stack,
+    so deep decompositions cannot overflow the interpreter's."""
+    stack = [_plan_steps(adj, verts, memo, shapes)]
+    result = None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_plan_steps(*sub, memo, shapes))
+            result = None
+    return result
+
+
+def _plan_steps(
+    adj: tuple[int, ...], verts: int, memo: dict[tuple, bool], shapes: dict[tuple, int]
+) -> Generator[tuple[tuple[int, ...], int], list[Instruction] | None, list[Instruction] | None]:
+    """_plan_tree's decision for one tree as a generator: it yields each
+    subtree it needs planned as (adj, verts), is sent that plan back,
+    and returns its own plan (None when the tree is unreachable)."""
     size = verts.bit_count()
     if size % 2 == 1:
         return None
@@ -296,10 +326,10 @@ def _plan_tree(
                 continue
             support_side = [t for i, t in enumerate(subtrees) if not mask >> i & 1]
             leaf_side = [t for i, t in enumerate(subtrees) if mask >> i & 1]
-            sub_a = _plan_tree(*_attach(adj, support, support_side), memo, shapes)
+            sub_a = yield _attach(adj, support, support_side)
             if sub_a is None:
                 continue
-            sub_b = _plan_tree(*_attach(adj, leaf, leaf_side), memo, shapes)
+            sub_b = yield _attach(adj, leaf, leaf_side)
             if sub_b is None:
                 continue
             memo[key] = True
@@ -413,16 +443,23 @@ def brute_force_schedule_search(
     with gates on other qubits), so the search runs over gate sequences
     from every perfect matching of the target's vertices. With only
     inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; allowing intra-graph gates or bare Hadamards
-    switches to breadth-first search over canonical stabilizer groups.
-    Returns a minimum-gate-count schedule, or None if none exists within
-    max_gates (default: one gate beyond the tree-building minimum).
+    rewrite rule applies; a join leaves i2 a leaf of i1, so the last join
+    is tried only for the target's leaves. Allowing intra-graph gates or
+    bare Hadamards switches to breadth-first search over stabilizer
+    groups, each keyed by its canonical packed rows (pauli's row
+    kernels). Returns a minimum-gate-count schedule, or None if none
+    exists within max_gates (default: one gate beyond the tree-building
+    minimum). max_gates may be any non-negative int: the search also
+    ends at the first depth that reaches no new state. A negative
+    max_gates raises ValueError.
     """
     n = target.num_vertices
     if n > max_qubits:
         raise ValueError(f"target has {n} vertices, cap is {max_qubits}")
     if n == 0:
         raise ValueError("target must have at least one vertex")
+    if max_gates is not None and max_gates < 0:
+        raise ValueError(f"max_gates must be non-negative, got {max_gates}")
     if n % 2 == 1:
         return None  # pair sources emit qubits two at a time
     if max_gates is None:
@@ -450,13 +487,13 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
     """Breadth-first search shared by both engines.
 
     The roots are the perfect matchings of the target's vertices, and
-    start(matching) gives a root's (key, state); expand(key, state)
-    yields (gate, key, state) for each successor in a fixed order, so
-    ties always break the same way. A key is visited once, and the first
-    key that satisfies is_goal is reached by a schedule with the fewest
-    gates.
+    start(matching) gives a root's key; expand(key) yields (gate, key)
+    for each successor in a fixed order, so ties always break the same
+    way. A key is visited once, and the first key that satisfies is_goal
+    is reached by a schedule with the fewest gates. The search ends at
+    max_gates gates or as soon as a depth finds no new key.
     """
-    roots = ((m, *start(m)) for m in _matchings(list(range(target.num_vertices))))
+    roots = ((m, start(m)) for m in _matchings(list(range(target.num_vertices))))
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
 
     def reconstruct(key) -> Schedule:
@@ -468,17 +505,19 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
         pairs = [CreatePair(a, b) for a, b in matching]
         return Schedule(tuple(pairs + gates[::-1]), target=target)
 
-    frontier = [(None, None)]  # a virtual root whose successors are the roots
+    frontier = [None]  # a virtual root whose successors are the roots
     for _depth in range(max_gates + 1):
         next_frontier = []
-        for key, state in frontier:
-            for step, new_key, new_state in roots if key is None else expand(key, state):
+        for key in frontier:
+            for step, new_key in roots if key is None else expand(key):
                 if new_key in seen:
                     continue
                 seen[new_key] = (key, step)
                 if is_goal(new_key):
                     return reconstruct(new_key)
-                next_frontier.append((new_key, new_state))
+                next_frontier.append(new_key)
+        if not next_frontier:
+            return None
         frontier = next_frontier
     return None
 
@@ -494,18 +533,28 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     # Prebuilt gates: building one per successor costs about half a join.
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     everyone = (1 << n) - 1
+    # A join leaves i2 a leaf of i1, so the last join can only be one that
+    # makes a leaf of the target: (i1, i2) with the target's adj[i2] = {i1}.
+    last_joins = sorted((row.bit_length() - 1, i2)
+                        for i2, row in enumerate(target.adj) if row.bit_count() == 1)
 
-    def expand(adj: tuple[int, ...], _state: None):
+    def expand(adj: tuple[int, ...]):
+        comps = component_masks(adj, everyone)
+        if len(comps) == 2:
+            for i1, i2 in last_joins:
+                if comps[0] >> i1 & 1 != comps[0] >> i2 & 1:
+                    yield gates[i1][i2], join_adjacency(adj, i1, i2)
+            return
         outside = [0] * n
-        for comp in component_masks(adj, everyone):
+        for comp in comps:
             for v in bits(comp):
                 outside[v] = everyone & ~comp
         for i1 in range(n):
             for i2 in bits(outside[i1]):
-                yield gates[i1][i2], join_adjacency(adj, i1, i2), None
+                yield gates[i1][i2], join_adjacency(adj, i1, i2)
 
-    def start(matching: list[tuple[int, int]]):
-        return Graph.from_edges(n, matching).adj, None
+    def start(matching: list[tuple[int, int]]) -> tuple[int, ...]:
+        return Graph.from_edges(n, matching).adj
 
     return _breadth_first(target, start, expand, target.adj.__eq__, depth_needed)
 
@@ -513,39 +562,41 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
 def _search_stabilizer(
     target: Graph, allow_intra: bool, allow_hadamard: bool, max_gates: int
 ) -> Schedule | None:
-    """Breadth-first search over canonical stabilizer groups. When
-    intra-graph gates are forbidden, each key also carries the partition
-    of qubits into clusters that have interacted so far, as each qubit's
-    cluster mask, since Hadamards can leave states whose cluster
-    structure the group alone no longer shows."""
+    """Breadth-first search over stabilizer groups, each keyed by its
+    canonical packed rows (pauli's row kernels). When intra-graph gates
+    are forbidden, each key also carries the partition of qubits into
+    clusters that have interacted so far, as each qubit's cluster mask,
+    since Hadamards can leave states whose cluster structure the group
+    alone no longer shows."""
     n = target.num_vertices
-    goal = graph_to_stabilizers(target).canonical_form()
     track_parts = not allow_intra
+    gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
+    hadamards = [Hadamard(q) for q in range(n)]
 
-    def start(matching: list[tuple[int, int]]):
+    goal = _canonical_rows_of(graph_to_stabilizers(target))
+
+    def start(matching: list[tuple[int, int]]) -> tuple:
         pairs = Graph.from_edges(n, matching)
         parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
-        group = graph_to_stabilizers(pairs)
-        return (group.canonical_form(), parts), group
+        return _canonical_rows_of(graph_to_stabilizers(pairs)), parts
 
-    def expand(key: tuple, group: StabilizerGroup):
-        parts = key[1]
+    def expand(key: tuple):
+        rows, parts = key
         for i1 in range(n):
             for i2 in range(n):
                 if i1 == i2 or track_parts and parts[i1] >> i2 & 1:
                     continue
-                _prob, new_group = apply_pbs_gate(group, i1, i2)
-                if new_group is None:
+                _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+                if measured is None:
                     continue
                 new_parts = parts
                 if track_parts:
                     merged = parts[i1] | parts[i2]
                     new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
-                yield PbsGate(i1, i2), (new_group.canonical_form(), new_parts), new_group
+                yield gates[i1][i2], (_canonical_rows(_hadamard_rows(measured, n, i2), n), new_parts)
         if allow_hadamard:
             for q in range(n):
-                new_group = group.apply_hadamard(q)
-                yield Hadamard(q), (new_group.canonical_form(), parts), new_group
+                yield hadamards[q], (_canonical_rows(_hadamard_rows(rows, n, q), n), parts)
 
     return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates)
 

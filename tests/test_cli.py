@@ -236,6 +236,9 @@ def test_plan_brute_force_finds_loop_demo(tmp_path, capsys):
     assert main(["plan", net, "--brute-force"]) == 4
     assert "no schedule found" in capsys.readouterr().err
 
+    assert main(["plan", net, "--brute-force", "--max-gates", "-3"]) == 2
+    assert "max_gates must be non-negative" in capsys.readouterr().err
+
 
 def test_plan_protocol_mode_with_dot_export(tmp_path, capsys):
     dot = tmp_path / "target.dot"

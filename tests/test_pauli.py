@@ -5,7 +5,16 @@ import random
 import pytest
 
 from pbsgraph.graphs import Graph, apply_pbs_gate, graph_to_stabilizers
-from pbsgraph.pauli import PauliString, StabilizerGroup, _canonical_rows_with_pivots, _gf2_rank
+from pbsgraph.pauli import (
+    PauliString,
+    StabilizerGroup,
+    _canonical_rows_of,
+    _gf2_rank,
+    _hadamard_rows,
+    _pack,
+    _unpack,
+    _zz_postselect_rows,
+)
 
 
 def test_single_qubit_multiplication_signs():
@@ -326,6 +335,13 @@ def _scrambled_group(rng: random.Random, n: int) -> StabilizerGroup:
     return group
 
 
+def _rows_with_pivots(group: StabilizerGroup) -> list[tuple[PauliString, int]]:
+    """The packed reduction's rows as PauliStrings, each with its pivot:
+    its lowest set bit."""
+    n = group.num_qubits
+    return [(_unpack(row, n), (row & -row).bit_length() - 1) for row in _canonical_rows_of(group)]
+
+
 def test_int_row_kernel_matches_pauli_string_reference():
     """The int row reduction, validation and rank agree with the
     PauliString reference on seeded groups of 1 to 70 qubits: the same
@@ -335,7 +351,7 @@ def test_int_row_kernel_matches_pauli_string_reference():
     for _ in range(320):
         n = rng.randrange(1, 71)
         group = _scrambled_group(rng, n)
-        assert _canonical_rows_with_pivots(group) == _reference_rows_with_pivots(group)
+        assert _rows_with_pivots(group) == _reference_rows_with_pivots(group)
         assert group.validate() is group
         _reference_validate(group)
         rows = [g.x_bits | g.z_bits << n for g in group.generators]
@@ -378,3 +394,31 @@ def test_validate_messages_match_pairwise_reference():
             group.validate()
         seen.add(expected.split()[-1])
     assert seen == {"anticommute", "independent"}
+
+
+def test_packed_kernels_match_stabilizer_group_methods():
+    """The brute-force search's packed kernels against the object path
+    they replace there: on seeded scrambled groups, the reduction gives
+    the reference's canonical rows, and for every qubit pair the packed
+    Z x Z postselection gives measure_zz_postselect's probability,
+    impossible outcome and generators, as the Hadamard does
+    apply_hadamard's."""
+    rng = random.Random(31)
+    outcomes = {0.0: 0, 0.5: 0, 1.0: 0}
+    for _ in range(120):
+        n = rng.randrange(2, 10)
+        group = _scrambled_group(rng, n)
+        reference = StabilizerGroup(n, tuple(row for row, _ in _reference_rows_with_pivots(group)))
+        canonical = _canonical_rows_of(group)
+        assert canonical == tuple(map(_pack, reference.generators))
+        for q1 in range(n):
+            assert _hadamard_rows(canonical, n, q1) == tuple(
+                map(_pack, reference.apply_hadamard(q1).generators))
+            for q2 in range(n):
+                if q1 == q2:
+                    continue
+                prob, after = reference.measure_zz_postselect(q1, q2)
+                rows = None if after is None else tuple(map(_pack, after.generators))
+                assert _zz_postselect_rows(canonical, n, q1, q2) == (prob, rows)
+                outcomes[prob] += 1
+    assert min(outcomes.values()) >= 20, outcomes

@@ -1,14 +1,25 @@
 """Unit tests for schedules, the join planner, and the brute-force oracle."""
 
+import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
 
 from pbsgraph.fock import fidelity, qubit_statevector_from_stabilizers
-from pbsgraph.graphs import Graph, apply_pbs_gate, graph_to_stabilizers, stabilizers_to_graph
+from pbsgraph.graphs import (
+    Graph,
+    apply_pbs_gate,
+    bits,
+    component_masks,
+    graph_to_stabilizers,
+    join_adjacency,
+    stabilizers_to_graph,
+)
 from pbsgraph.pauli import PauliString, StabilizerGroup
 from pbsgraph.planner import (
+    _breadth_first,
     CreatePair,
     Hadamard,
     Measure,
@@ -33,6 +44,8 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 # triangle with a pendant vertex on each corner: the smallest loop target
 # our gate set can actually reach
 NET6 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+# each even vertex joined to each odd one
+K33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
 
 
 def _trees(n: int):
@@ -105,6 +118,20 @@ def test_join_planner_star_and_paths():
         path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
         assert plan_join_sequence(path) is None
 
+    # A reachable 400-vertex caterpillar whose decomposition nests 199
+    # deep: pairs (2k+1, 2k+2), each joined to the next by PBS 2k+2 2k+3.
+    pairs = [CreatePair(2 * k + 1, 2 * k + 2) for k in range(200)]
+    joins = [PbsGate(2 * k + 2, 2 * k + 3) for k in range(199)]
+    caterpillar = execute_schedule(Schedule(tuple(pairs + joins)))[2]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        sched = plan_join_sequence(caterpillar)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sched is not None and sched.gate_count() == 199
+    assert execute_schedule(sched)[2] == caterpillar
+
 
 def test_join_planner_edge_cases():
     edge = Graph.from_edges(2, [(0, 1)])
@@ -159,6 +186,8 @@ def test_brute_force_rejects_bad_inputs():
         brute_force_schedule_search(big)
     with pytest.raises(ValueError):
         brute_force_schedule_search(Graph(0))
+    with pytest.raises(ValueError, match="non-negative"):
+        brute_force_schedule_search(STAR4, max_gates=-1)
 
 
 def test_loop_demo_net_graph():
@@ -181,24 +210,157 @@ def test_loop_demo_net_graph():
 
 def test_four_cycle_stays_unreachable_even_with_intra_and_hadamards():
     assert brute_force_schedule_search(C4, allow_intra=True, allow_hadamard=True, max_gates=4) is None
+    # a huge gate cap costs nothing: the search ends at the first depth
+    # that reaches no new state
+    assert brute_force_schedule_search(C4, allow_intra=True, max_gates=10**18) is None
 
 
 def test_k33_needs_bare_hadamards():
     """K3,3 is a local-Clifford image of a joined tree: two inter-cluster
-    gates and two bare Hadamards build it exactly."""
-    k33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
-    sched = brute_force_schedule_search(k33, allow_hadamard=True)
+    gates and two bare Hadamards build it exactly, and intra-cluster
+    gates alone cannot build it."""
+    assert brute_force_schedule_search(K33, allow_intra=True) is None
+    sched = brute_force_schedule_search(K33, allow_hadamard=True)
     assert sched is not None
     assert sched.instructions == (
         CreatePair(0, 1), CreatePair(2, 4), CreatePair(3, 5),
         PbsGate(0, 2), PbsGate(1, 3), Hadamard(0), Hadamard(1),
     )
     prob, group, graph = execute_schedule(sched)
-    assert prob == 0.25 and graph == k33
+    assert prob == 0.25 and graph == K33
     fock_prob, fock_state = execute_schedule_fock(sched)
     assert fock_prob == pytest.approx(prob, abs=1e-9)
     reference = qubit_statevector_from_stabilizers(group, sched.qubit_ids())
     assert fidelity(fock_state, reference) == pytest.approx(1.0, abs=1e-9)
+
+
+# ----- reference engines: the object-level stabilizer search and the
+# forest search that tries every join at every depth -----
+
+
+def _reference_search(target: Graph, allow_intra: bool = False, allow_hadamard: bool = False,
+                      max_gates: int | None = None) -> Schedule | None:
+    """brute_force_schedule_search on the reference engines."""
+    n = target.num_vertices
+    if n % 2 == 1:
+        return None
+    if max_gates is None:
+        max_gates = n // 2 + 1
+    if allow_intra or allow_hadamard:
+        return _reference_search_stabilizer(target, allow_intra, allow_hadamard, max_gates)
+    return _reference_search_forest(target, max_gates)
+
+
+def _reference_search_forest(target: Graph, max_gates: int) -> Schedule | None:
+    n = target.num_vertices
+    depth_needed = n // 2 - 1
+    if depth_needed > max_gates:
+        return None
+    gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
+    everyone = (1 << n) - 1
+
+    def expand(adj):
+        outside = [0] * n
+        for comp in component_masks(adj, everyone):
+            for v in bits(comp):
+                outside[v] = everyone & ~comp
+        for i1 in range(n):
+            for i2 in bits(outside[i1]):
+                yield gates[i1][i2], join_adjacency(adj, i1, i2)
+
+    def start(matching):
+        return Graph.from_edges(n, matching).adj
+
+    return _breadth_first(target, start, expand, target.adj.__eq__, depth_needed)
+
+
+def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamard: bool,
+                                 max_gates: int) -> Schedule | None:
+    """The search on StabilizerGroup objects, keyed by canonical_form."""
+    n = target.num_vertices
+    goal = graph_to_stabilizers(target).canonical_form()
+    track_parts = not allow_intra
+
+    def start(matching):
+        pairs = Graph.from_edges(n, matching)
+        parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
+        return graph_to_stabilizers(pairs).canonical_form(), parts
+
+    def expand(key):
+        group, parts = key
+        for i1 in range(n):
+            for i2 in range(n):
+                if i1 == i2 or track_parts and parts[i1] >> i2 & 1:
+                    continue
+                _prob, new_group = apply_pbs_gate(group, i1, i2)
+                if new_group is None:
+                    continue
+                new_parts = parts
+                if track_parts:
+                    merged = parts[i1] | parts[i2]
+                    new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
+                yield PbsGate(i1, i2), (new_group.canonical_form(), new_parts)
+        if allow_hadamard:
+            for q in range(n):
+                yield Hadamard(q), (group.apply_hadamard(q).canonical_form(), parts)
+
+    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates)
+
+
+def _labelled_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _assert_same_schedules(cases) -> int:
+    """Run both search paths on (target, allow_intra, allow_hadamard)
+    cases; return how many found a schedule."""
+    found = 0
+    for target, intra, hadamard in cases:
+        sched = brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard)
+        reference = _reference_search(target, intra, hadamard)
+        assert (sched is None) == (reference is None), (target.sorted_edges(), intra, hadamard)
+        if sched is not None:
+            assert sched.instructions == reference.instructions
+            found += 1
+    return found
+
+
+def test_forest_search_matches_unpruned_reference():
+    """Pruning the last join changes no schedule: the 47 trees with 2 to
+    8 vertices, seeded relabellings of the 6-vertex ones, and every
+    labelled 4-vertex graph."""
+    trees = [(tree, False, False) for n in range(2, 9) for tree in _trees(n)]
+    assert len(trees) == 47
+    assert _assert_same_schedules(trees) == 7
+    rng = random.Random(8)
+    relabelled = []
+    for tree in _trees(6):
+        for _ in range(4):
+            perm = rng.sample(range(6), 6)
+            graph = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in tree.sorted_edges()])
+            relabelled.append((graph, False, False))
+    assert _assert_same_schedules(relabelled) == 4 * 2  # two of the six trees are reachable
+    graphs4 = [(graph, False, False) for graph in _labelled_graphs(4)]
+    assert _assert_same_schedules(graphs4) == 7  # the four stars and three matchings
+
+
+def test_stabilizer_search_matches_object_reference():
+    """The search on packed rows returns the object-level search's
+    schedules: seeded relabellings of net6 with intra gates, every
+    labelled 4-vertex graph under the three other flag combinations,
+    and K3,3 with Hadamards."""
+    rng = random.Random(6)
+    cases = []
+    for _ in range(3):
+        perm = rng.sample(range(6), 6)
+        relabelled = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in NET6.sorted_edges()])
+        cases.append((relabelled, True, False))
+    for intra, hadamard in ((False, True), (True, False), (True, True)):
+        cases += [(graph, intra, hadamard) for graph in _labelled_graphs(4)]
+    cases.append((K33, False, True))
+    assert _assert_same_schedules(cases) == 3 + 3 * 7 + 1
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
