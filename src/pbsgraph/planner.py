@@ -7,11 +7,14 @@ decides exactly which trees the inter-graph fusion rule can reach and
 reconstructs a gate sequence when one exists. brute_force_schedule_search
 is the independent oracle: a breadth-first sweep over all schedules on
 at most eight qubits, either on labeled forests held as adjacency masks
-(inter-graph gates only; the last join is tried only where it can hit
-the target) or on stabilizer groups held as tuples of canonical packed
-rows (when intra-graph gates or extra Hadamards are allowed). Both keep
-bare ints as search states; the StabilizerGroup methods that
-execute_schedule uses stay the reference for the packed kernels.
+(inter-graph gates only) or on stabilizer groups held as tuples of
+canonical packed rows (when intra-graph gates or extra Hadamards are
+allowed). Both are goal-directed without changing which schedule they
+find: the forest search keeps only forests that a backward walk from
+the target reaches, and the stabilizer search first tries, at each
+depth, only the steps that can finish the target. Both keep bare ints
+as search states; the StabilizerGroup methods that execute_schedule
+uses stay the reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -443,11 +446,14 @@ def brute_force_schedule_search(
     with gates on other qubits), so the search runs over gate sequences
     from every perfect matching of the target's vertices. With only
     inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; a join leaves i2 a leaf of i1, so the last join
-    is tried only for the target's leaves. Allowing intra-graph gates or
-    bare Hadamards switches to breadth-first search over stabilizer
-    groups, each keyed by its canonical packed rows (pauli's row
-    kernels). Returns a minimum-gate-count schedule, or None if none
+    rewrite rule applies; the search keeps only forests from which the
+    target can still be reached, found by inverting the join from the
+    target back. Allowing intra-graph gates or bare Hadamards switches to
+    breadth-first search over stabilizer groups, each keyed by its
+    canonical packed rows (pauli's row kernels); each depth first tries
+    only the gates onto the target's leaves and the Hadamards, since no
+    other step can finish a graph state. Neither pruning changes the
+    schedule found. Returns a minimum-gate-count schedule, or None if none
     exists within max_gates (default: one gate beyond the tree-building
     minimum). max_gates may be any non-negative int: the search also
     ends at the first depth that reaches no new state. A negative
@@ -483,7 +489,8 @@ def _matchings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, partner)] + sub
 
 
-def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Schedule | None:
+def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
+                   finish=None) -> Schedule | None:
     """Breadth-first search shared by both engines.
 
     The roots are the perfect matchings of the target's vertices, and
@@ -492,6 +499,12 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
     way. A key is visited once, and the first key that satisfies is_goal
     is reached by a schedule with the fewest gates. The search ends at
     max_gates gates or as soon as a depth finds no new key.
+
+    finish(key), when given, yields a subsequence of expand(key), in the
+    same order, that holds every successor satisfying is_goal. Each depth
+    then scans the frontier with finish first and expands it only when
+    the scan misses and depth remains, so the goal found, and its
+    schedule, are the same.
     """
     roots = ((m, start(m)) for m in _matchings(list(range(target.num_vertices))))
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
@@ -506,7 +519,15 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
         return Schedule(tuple(pairs + gates[::-1]), target=target)
 
     frontier = [None]  # a virtual root whose successors are the roots
-    for _depth in range(max_gates + 1):
+    for depth in range(max_gates + 1):
+        if finish is not None and depth:
+            for key in frontier:
+                for step, new_key in finish(key):
+                    if is_goal(new_key):
+                        seen[new_key] = (key, step)
+                        return reconstruct(new_key)
+            if depth == max_gates:
+                return None
         next_frontier = []
         for key in frontier:
             for step, new_key in roots if key is None else expand(key):
@@ -522,8 +543,50 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int) -> Sch
     return None
 
 
+def _pre_images(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every (i1, i2, E) with join_adjacency(E, i1, i2) equal to the
+    forest adj and i1, i2 in different components of E. A join leaves i2
+    a leaf of i1 and hands i1 the neighbours of i2, so inverting it picks
+    a leaf i2 of adj and gives back to i2 any subset of i1's other
+    neighbours: 2^(deg - 1) pre-images per leaf, the empty subset and the
+    full one included."""
+    for i2 in range(n):
+        if adj[i2].bit_count() != 1:
+            continue
+        i1 = adj[i2].bit_length() - 1
+        b1, b2 = 1 << i1, 1 << i2
+        others = adj[i1] & ~b2
+        taken = others
+        while True:
+            pre = list(adj)
+            for w in bits(taken):
+                pre[w] = pre[w] & ~b1 | b2
+            pre[i1] = others & ~taken
+            pre[i2] = taken
+            yield i1, i2, tuple(pre)
+            if not taken:
+                break
+            taken = taken - 1 & others
+
+
+def _reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...]]:
+    """Every forest that reaches the target in at most `joins` joins,
+    found by walking back from the target one join at a time (the
+    backward half of a bidirectional search, Pohl 1971). It may also hold
+    forests no schedule builds, such as ones with isolated vertices."""
+    reaching = layer = {target}
+    for _ in range(joins):
+        layer = {pre for adj in layer for _i1, _i2, pre in _pre_images(adj, n)}
+        reaching = reaching | layer
+    return reaching
+
+
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
-    """Search over labeled forests, each keyed by its adjacency masks."""
+    """Search over labeled forests, each keyed by its adjacency masks,
+    forward from the pairs and only through forests that can still reach
+    the target. A state outside that set has no path to the target, and
+    every path to it runs through states inside, so the schedule found is
+    the one the unpruned sweep finds."""
     n = target.num_vertices
     # Inter-graph joins merge one component per gate, so a spanning tree
     # costs exactly n/2 - 1 of them; deeper search cannot help.
@@ -533,25 +596,20 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     # Prebuilt gates: building one per successor costs about half a join.
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     everyone = (1 << n) - 1
-    # A join leaves i2 a leaf of i1, so the last join can only be one that
-    # makes a leaf of the target: (i1, i2) with the target's adj[i2] = {i1}.
-    last_joins = sorted((row.bit_length() - 1, i2)
-                        for i2, row in enumerate(target.adj) if row.bit_count() == 1)
+    reaching = _reaching(target.adj, n, depth_needed)
 
     def expand(adj: tuple[int, ...]):
-        comps = component_masks(adj, everyone)
-        if len(comps) == 2:
-            for i1, i2 in last_joins:
-                if comps[0] >> i1 & 1 != comps[0] >> i2 & 1:
-                    yield gates[i1][i2], join_adjacency(adj, i1, i2)
+        if adj not in reaching:
             return
         outside = [0] * n
-        for comp in comps:
+        for comp in component_masks(adj, everyone):
             for v in bits(comp):
                 outside[v] = everyone & ~comp
         for i1 in range(n):
             for i2 in bits(outside[i1]):
-                yield gates[i1][i2], join_adjacency(adj, i1, i2)
+                joined = join_adjacency(adj, i1, i2)
+                if joined in reaching:
+                    yield gates[i1][i2], joined
 
     def start(matching: list[tuple[int, int]]) -> tuple[int, ...]:
         return Graph.from_edges(n, matching).adj
@@ -567,38 +625,59 @@ def _search_stabilizer(
     are forbidden, each key also carries the partition of qubits into
     clusters that have interacted so far, as each qubit's cluster mask,
     since Hadamards can leave states whose cluster structure the group
-    alone no longer shows."""
+    alone no longer shows.
+
+    A gate (i1, i2) leaves +Z_i1 X_i2 in the group, and a graph state
+    holds that only when i2 is a leaf of i1. So the steps that can finish
+    a schedule are the gates onto the target's leaves and, when allowed,
+    the Hadamards; _breadth_first scans each depth with these first. With
+    none of them, only a root can be the target."""
     n = target.num_vertices
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     hadamards = [Hadamard(q) for q in range(n)]
 
     goal = _canonical_rows_of(graph_to_stabilizers(target))
+    every_gate = [(i1, i2) for i1 in range(n) for i2 in range(n) if i1 != i2]
+    finishing = sorted((row.bit_length() - 1, i2)
+                       for i2, row in enumerate(target.adj) if row.bit_count() == 1)
+    if not finishing and not allow_hadamard:
+        max_gates = 0
 
     def start(matching: list[tuple[int, int]]) -> tuple:
         pairs = Graph.from_edges(n, matching)
         parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
         return _canonical_rows_of(graph_to_stabilizers(pairs)), parts
 
-    def expand(key: tuple):
+    def gate_steps(key: tuple, pairs: list[tuple[int, int]]):
         rows, parts = key
-        for i1 in range(n):
-            for i2 in range(n):
-                if i1 == i2 or track_parts and parts[i1] >> i2 & 1:
-                    continue
-                _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
-                if measured is None:
-                    continue
-                new_parts = parts
-                if track_parts:
-                    merged = parts[i1] | parts[i2]
-                    new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
-                yield gates[i1][i2], (_canonical_rows(_hadamard_rows(measured, n, i2), n), new_parts)
+        for i1, i2 in pairs:
+            if track_parts and parts[i1] >> i2 & 1:
+                continue
+            _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+            if measured is None:
+                continue
+            new_parts = parts
+            if track_parts:
+                merged = parts[i1] | parts[i2]
+                new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
+            yield gates[i1][i2], (_canonical_rows(_hadamard_rows(measured, n, i2), n), new_parts)
+
+    def hadamard_steps(key: tuple):
         if allow_hadamard:
+            rows, parts = key
             for q in range(n):
                 yield hadamards[q], (_canonical_rows(_hadamard_rows(rows, n, q), n), parts)
 
-    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates)
+    def expand(key: tuple):
+        yield from gate_steps(key, every_gate)
+        yield from hadamard_steps(key)
+
+    def finish(key: tuple):
+        yield from gate_steps(key, finishing)
+        yield from hadamard_steps(key)
+
+    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates, finish)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import networkx as nx
 import pytest
 
+from pbsgraph import planner
 from pbsgraph.fock import fidelity, qubit_statevector_from_stabilizers
 from pbsgraph.graphs import (
     Graph,
@@ -17,9 +18,19 @@ from pbsgraph.graphs import (
     join_adjacency,
     stabilizers_to_graph,
 )
-from pbsgraph.pauli import PauliString, StabilizerGroup
+from pbsgraph.pauli import (
+    PauliString,
+    StabilizerGroup,
+    _canonical_rows,
+    _canonical_rows_of,
+    _hadamard_rows,
+    _zz_postselect_rows,
+)
 from pbsgraph.planner import (
     _breadth_first,
+    _matchings,
+    _pre_images,
+    _reaching,
     CreatePair,
     Hadamard,
     Measure,
@@ -46,6 +57,11 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 NET6 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 # each even vertex joined to each odd one
 K33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+
+
+def _relabelled(graph: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(graph.num_vertices), graph.num_vertices)
+    return Graph.from_edges(graph.num_vertices, [(perm[u], perm[v]) for u, v in graph.sorted_edges()])
 
 
 def _trees(n: int):
@@ -361,6 +377,163 @@ def test_stabilizer_search_matches_object_reference():
         cases += [(graph, intra, hadamard) for graph in _labelled_graphs(4)]
     cases.append((K33, False, True))
     assert _assert_same_schedules(cases) == 3 + 3 * 7 + 1
+
+
+# ----- goal-directed pruning: the forest engine's backward set and the
+# stabilizer engine's finishing steps -----
+
+
+def _forest_sweep(n: int) -> dict[tuple[int, ...], set[tuple[int, int, tuple[int, ...]]]]:
+    """The unpruned forward sweep over forests from the pairs on n
+    vertices, each forest joined across every pair of its components,
+    depth by depth: every forest it reaches, with each (i1, i2, E) that
+    joins into it."""
+    everyone = (1 << n) - 1
+    layer = {Graph.from_edges(n, m).adj for m in _matchings(list(range(n)))}
+    into: dict = {}
+    for _ in range(n // 2 - 1):
+        next_layer = set()
+        for adj in layer:
+            comps = component_masks(adj, everyone)
+            for i1, i2 in itertools.permutations(range(n), 2):
+                if not any(c >> i1 & 1 and c >> i2 & 1 for c in comps):
+                    joined = join_adjacency(adj, i1, i2)
+                    into.setdefault(joined, set()).add((i1, i2, adj))
+                    next_layer.add(joined)
+        layer = next_layer
+    return into
+
+
+def _separated(adj: tuple[int, ...], i1: int, i2: int) -> bool:
+    return not any(c >> i1 & 1 and c >> i2 & 1
+                   for c in component_masks(adj, (1 << len(adj)) - 1))
+
+
+def test_pre_images_invert_the_join():
+    """_pre_images is the exact inverse of a join across components: on
+    every labelled 4-vertex forest it equals the inverse found by joining
+    every labelled graph; on 8-vertex trees every edge of the unpruned
+    forward sweep into the backward set starts at one of its pre-images,
+    and each pre-image joins back from separate components."""
+    graphs = [g.adj for g in _labelled_graphs(4)]
+    inverse: dict[tuple, list] = {}
+    for adj in graphs:
+        for i1, i2 in itertools.permutations(range(4), 2):
+            if _separated(adj, i1, i2):
+                inverse.setdefault(join_adjacency(adj, i1, i2), []).append((i1, i2, adj))
+    forests = [adj for adj in graphs
+               if sum(map(int.bit_count, adj)) == 2 * (4 - len(component_masks(adj, 15)))]
+    assert len(forests) == 38
+    for adj in forests:
+        assert sorted(_pre_images(adj, 4)) == sorted(inverse.get(adj, [])), adj
+
+    rng = random.Random(10)
+    protocol = plan_tree_protocol(2).target
+    trees = [protocol] * 4 + rng.sample(list(_trees(8)), 8)
+    into = _forest_sweep(8)
+    assert sum(map(len, into.values())) == 5040 + 33600 + 82432
+    reached = 0
+    for target in [protocol] + [_relabelled(tree, rng) for tree in trees[1:]]:
+        for forest in _reaching(target.adj, 8, 3):
+            pre = list(_pre_images(forest, 8))
+            leaves = [i2 for i2, row in enumerate(forest) if row.bit_count() == 1]
+            assert len(set(pre)) == len(pre) == sum(
+                1 << forest[forest[i2].bit_length() - 1].bit_count() - 1 for i2 in leaves)
+            for i1, i2, before in pre:
+                assert _separated(before, i1, i2) and join_adjacency(before, i1, i2) == forest
+            assert into.get(forest, set()) <= set(pre)
+        reached += target.adj in into
+    assert reached == 4 + 3  # the protocol tree four times, and three sampled trees
+
+
+def _first_reached(n: int) -> dict[tuple[int, ...], tuple[int, PbsGate | None]]:
+    """The unpruned breadth-first sweep with intra-cluster gates on n
+    qubits, in the engine's order, up to the default n/2 + 1 gates: each
+    state it reaches, as canonical packed rows, with the gate count and
+    last gate of the path that first reached it."""
+    first = {}
+    frontier = []
+    for matching in _matchings(list(range(n))):
+        rows = _canonical_rows_of(graph_to_stabilizers(Graph.from_edges(n, matching)))
+        first[rows] = (0, None)
+        frontier.append(rows)
+    for depth in range(1, n // 2 + 2):
+        next_frontier = []
+        for rows in frontier:
+            for i1, i2 in itertools.permutations(range(n), 2):
+                _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+                if measured is not None:
+                    new_rows = _canonical_rows(_hadamard_rows(measured, n, i2), n)
+                    if new_rows not in first:
+                        first[new_rows] = (depth, PbsGate(i1, i2))
+                        next_frontier.append(new_rows)
+        frontier = next_frontier
+    return first
+
+
+def test_only_gates_onto_target_leaves_finish_a_schedule():
+    """A gate (i1, i2) leaves +Z_i1 X_i2, which a graph state holds only
+    when i2 is a leaf of i1. With intra-cluster gates alone, the unpruned
+    sweep reaches no leafless graph, every graph it reaches with a gate
+    was last reached by such a leaf gate, and the search agrees with it on
+    every labelled 4-vertex graph and on seeded 6-vertex graphs, found at
+    or below the gate cap or unreachable."""
+    rng = random.Random(12)
+    counts = {"leafless": 0, "found": 0, "found below cap": 0, "unreachable with a leaf": 0}
+    for n in (4, 6):
+        first = _first_reached(n)
+        reached_graphs = []
+        everyone = (1 << n) - 1
+        for rows, (depth, last) in first.items():
+            # graph form: row i is +X_i times Z on the neighbours of i
+            if any(row & everyone != 1 << i or row >> n + i & 1 or row >> 2 * n
+                   for i, row in enumerate(rows)):
+                continue
+            graph = Graph(n, tuple(row >> n for row in rows))
+            reached_graphs.append(graph)
+            if depth:
+                assert graph.adj[last.i2] == 1 << last.i1, (graph.sorted_edges(), last)
+        pairs = list(itertools.combinations(range(n), 2))
+        if n == 4:
+            targets = list(_labelled_graphs(4))
+        else:
+            targets = rng.sample(sorted(reached_graphs, key=Graph.sorted_edges), 6)
+            targets += [Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]) for _ in range(6)]
+        for target in targets:
+            leaves = [i2 for i2, row in enumerate(target.adj) if row.bit_count() == 1]
+            entry = first.get(_canonical_rows_of(graph_to_stabilizers(target)))
+            sched = brute_force_schedule_search(target, allow_intra=True)
+            counts["leafless"] += not leaves
+            if entry is None:
+                assert sched is None
+                counts["unreachable with a leaf"] += bool(leaves)
+                continue
+            assert leaves
+            depth, last = entry
+            assert sched.gate_count() == depth
+            if depth:
+                assert sched.instructions[-1] == last
+            counts["found"] += 1
+            counts["found below cap"] += depth < n // 2 + 1
+    assert counts == {"leafless": 16, "found": 13, "found below cap": 12, "unreachable with a leaf": 47}
+
+
+def test_leafless_targets_make_no_gate_attempt(monkeypatch):
+    """Without bare Hadamards a leafless target can only be a root, so
+    K3,3 and C4 under --allow-intra try no gate at all."""
+    attempts = []
+    postselect = planner._zz_postselect_rows
+
+    def counting(*args):
+        attempts.append(args[2:])
+        return postselect(*args)
+
+    monkeypatch.setattr(planner, "_zz_postselect_rows", counting)
+    for target in (K33, C4):
+        assert brute_force_schedule_search(target, allow_intra=True) is None
+    assert attempts == []
+    assert brute_force_schedule_search(NET6, allow_intra=True) is not None
+    assert attempts
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
