@@ -11,10 +11,11 @@ at most eight qubits, either on labeled forests held as adjacency masks
 canonical packed rows (when intra-graph gates or extra Hadamards are
 allowed). Both are goal-directed without changing which schedule they
 find: the forest search keeps only forests that a backward walk from
-the target reaches, and the stabilizer search first tries, at each
-depth, only the steps that can finish the target. Both keep bare ints
-as search states; the StabilizerGroup methods that execute_schedule
-uses stay the reference for the packed kernels.
+the target reaches, and the stabilizer search tries on each new state,
+as soon as it is found, only the steps that can finish the target, so
+its last expansion stops at the first state that finishes. Both keep
+bare ints as search states; the StabilizerGroup methods that
+execute_schedule uses stay the reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -450,9 +451,9 @@ def brute_force_schedule_search(
     target can still be reached, found by inverting the join from the
     target back. Allowing intra-graph gates or bare Hadamards switches to
     breadth-first search over stabilizer groups, each keyed by its
-    canonical packed rows (pauli's row kernels); each depth first tries
-    only the gates onto the target's leaves and the Hadamards, since no
-    other step can finish a graph state. Neither pruning changes the
+    canonical packed rows (pauli's row kernels); each new state is first
+    tried with only the gates onto the target's leaves and the Hadamards,
+    since no other step can finish a graph state. Neither pruning changes the
     schedule found. Returns a minimum-gate-count schedule, or None if none
     exists within max_gates (default: one gate beyond the tree-building
     minimum). max_gates may be any non-negative int: the search also
@@ -501,10 +502,13 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
     max_gates gates or as soon as a depth finds no new key.
 
     finish(key), when given, yields a subsequence of expand(key), in the
-    same order, that holds every successor satisfying is_goal. Each depth
-    then scans the frontier with finish first and expands it only when
-    the scan misses and depth remains, so the goal found, and its
-    schedule, are the same.
+    same order, that holds every successor satisfying is_goal. Each new
+    key is then scanned with finish as soon as it joins the frontier (the
+    roots together, once every root is checked by is_goal, so a root that
+    is the goal wins), and no key at max_gates - 1 gates is expanded. The
+    keys are scanned in frontier order, and a full expansion of a scanned
+    key reaches no goal first, so the goal found and its schedule are the
+    same; the last expansion just stops at the first key that finishes.
     """
     roots = ((m, start(m)) for m in _matchings(list(range(target.num_vertices))))
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
@@ -518,16 +522,17 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
         pairs = [CreatePair(a, b) for a, b in matching]
         return Schedule(tuple(pairs + gates[::-1]), target=target)
 
+    def finished(key):
+        """The first goal one finishing step reaches from key, or None."""
+        for step, new_key in finish(key):
+            if is_goal(new_key):
+                seen[new_key] = (key, step)
+                return new_key
+        return None
+
     frontier = [None]  # a virtual root whose successors are the roots
     for depth in range(max_gates + 1):
-        if finish is not None and depth:
-            for key in frontier:
-                for step, new_key in finish(key):
-                    if is_goal(new_key):
-                        seen[new_key] = (key, step)
-                        return reconstruct(new_key)
-            if depth == max_gates:
-                return None
+        scan = finish is not None and depth > 0
         next_frontier = []
         for key in frontier:
             for step, new_key in roots if key is None else expand(key):
@@ -536,9 +541,18 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
                 seen[new_key] = (key, step)
                 if is_goal(new_key):
                     return reconstruct(new_key)
+                if scan and (goal := finished(new_key)) is not None:
+                    return reconstruct(goal)
                 next_frontier.append(new_key)
         if not next_frontier:
             return None
+        if finish is not None:
+            if depth == 0 and max_gates:
+                for key in next_frontier:
+                    if (goal := finished(key)) is not None:
+                        return reconstruct(goal)
+            if depth + 1 == max_gates:
+                return None  # each key of this depth was scanned for the last gate
         frontier = next_frontier
     return None
 
@@ -570,13 +584,17 @@ def _pre_images(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, tuple[
 
 
 def _reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...]]:
-    """Every forest that reaches the target in at most `joins` joins,
-    found by walking back from the target one join at a time (the
-    backward half of a bidirectional search, Pohl 1971). It may also hold
-    forests no schedule builds, such as ones with isolated vertices."""
+    """Every forest a schedule can build that reaches the target in at
+    most `joins` joins, found by walking back from the target one join at
+    a time (the backward half of a bidirectional search, Pohl 1971).
+    Pre-images that isolate i1 or i2 (the full and the empty subset) are
+    dropped: the pairs isolate no vertex and no join isolates one, so no
+    schedule builds them, and a pre-image keeps every isolated vertex
+    isolated, so nothing walked back from them is built either."""
     reaching = layer = {target}
     for _ in range(joins):
-        layer = {pre for adj in layer for _i1, _i2, pre in _pre_images(adj, n)}
+        layer = {pre for adj in layer for i1, i2, pre in _pre_images(adj, n)
+                 if pre[i1] and pre[i2]}
         reaching = reaching | layer
     return reaching
 
@@ -630,7 +648,7 @@ def _search_stabilizer(
     A gate (i1, i2) leaves +Z_i1 X_i2 in the group, and a graph state
     holds that only when i2 is a leaf of i1. So the steps that can finish
     a schedule are the gates onto the target's leaves and, when allowed,
-    the Hadamards; _breadth_first scans each depth with these first. With
+    the Hadamards; _breadth_first scans each new state with these. With
     none of them, only a root can be the target."""
     n = target.num_vertices
     track_parts = not allow_intra

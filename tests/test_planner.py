@@ -329,14 +329,16 @@ def _labelled_graphs(n: int):
         yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
-def _assert_same_schedules(cases) -> int:
+def _assert_same_schedules(cases, max_gates: int | None = None) -> int:
     """Run both search paths on (target, allow_intra, allow_hadamard)
-    cases; return how many found a schedule."""
+    cases under one gate cap; return how many found a schedule."""
     found = 0
     for target, intra, hadamard in cases:
-        sched = brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard)
-        reference = _reference_search(target, intra, hadamard)
-        assert (sched is None) == (reference is None), (target.sorted_edges(), intra, hadamard)
+        sched = brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard,
+                                            max_gates=max_gates)
+        reference = _reference_search(target, intra, hadamard, max_gates)
+        assert (sched is None) == (reference is None), (target.sorted_edges(), intra, hadamard,
+                                                        max_gates)
         if sched is not None:
             assert sched.instructions == reference.instructions
             found += 1
@@ -344,7 +346,7 @@ def _assert_same_schedules(cases) -> int:
 
 
 def test_forest_search_matches_unpruned_reference():
-    """Pruning the last join changes no schedule: the 47 trees with 2 to
+    """Pruning by the backward set changes no schedule: the 47 trees with 2 to
     8 vertices, seeded relabellings of the 6-vertex ones, and every
     labelled 4-vertex graph."""
     trees = [(tree, False, False) for n in range(2, 9) for tree in _trees(n)]
@@ -366,7 +368,9 @@ def test_stabilizer_search_matches_object_reference():
     """The search on packed rows returns the object-level search's
     schedules: seeded relabellings of net6 with intra gates, every
     labelled 4-vertex graph under the three other flag combinations,
-    and K3,3 with Hadamards."""
+    K3,3 with Hadamards, a perfect matching with Hadamards, and seeded
+    random 6-vertex graphs with intra gates; then net6 and star-4 with
+    intra gates under every gate cap from 0 to 5."""
     rng = random.Random(6)
     cases = []
     for _ in range(3):
@@ -376,11 +380,28 @@ def test_stabilizer_search_matches_object_reference():
     for intra, hadamard in ((False, True), (True, False), (True, True)):
         cases += [(graph, intra, hadamard) for graph in _labelled_graphs(4)]
     cases.append((K33, False, True))
-    assert _assert_same_schedules(cases) == 3 + 3 * 7 + 1
+    cases.append((Graph.from_edges(6, [(0, 5), (1, 4), (2, 3)]), False, True))
+    pairs = list(itertools.combinations(range(6), 2))
+    cases += [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), True, False)
+              for _ in range(2)]
+    assert _assert_same_schedules(cases) == 3 + 3 * 7 + 1 + 1
+    found = [_assert_same_schedules([(NET6, True, False), (STAR4, True, False)], cap)
+             for cap in range(6)]
+    assert found == [0, 1, 1, 2, 2, 2]
 
 
 # ----- goal-directed pruning: the forest engine's backward set and the
 # stabilizer engine's finishing steps -----
+
+
+def _reference_reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...]]:
+    """The unpruned backward walk: every pre-image of every forest, for
+    `joins` joins back from the target."""
+    reaching = layer = {target}
+    for _ in range(joins):
+        layer = {pre for adj in layer for _i1, _i2, pre in _pre_images(adj, n)}
+        reaching = reaching | layer
+    return reaching
 
 
 def _forest_sweep(n: int) -> dict[tuple[int, ...], set[tuple[int, int, tuple[int, ...]]]]:
@@ -414,7 +435,9 @@ def test_pre_images_invert_the_join():
     every labelled 4-vertex forest it equals the inverse found by joining
     every labelled graph; on 8-vertex trees every edge of the unpruned
     forward sweep into the backward set starts at one of its pre-images,
-    and each pre-image joins back from separate components."""
+    and each pre-image joins back from separate components. _reaching is
+    the unpruned backward walk without the forests that isolate a vertex,
+    which no schedule builds."""
     graphs = [g.adj for g in _labelled_graphs(4)]
     inverse: dict[tuple, list] = {}
     for adj in graphs:
@@ -434,7 +457,9 @@ def test_pre_images_invert_the_join():
     assert sum(map(len, into.values())) == 5040 + 33600 + 82432
     reached = 0
     for target in [protocol] + [_relabelled(tree, rng) for tree in trees[1:]]:
-        for forest in _reaching(target.adj, 8, 3):
+        walk = _reference_reaching(target.adj, 8, 3)
+        assert _reaching(target.adj, 8, 3) == {forest for forest in walk if all(forest)}
+        for forest in walk:
             pre = list(_pre_images(forest, 8))
             leaves = [i2 for i2, row in enumerate(forest) if row.bit_count() == 1]
             assert len(set(pre)) == len(pre) == sum(
@@ -520,7 +545,11 @@ def test_only_gates_onto_target_leaves_finish_a_schedule():
 
 def test_leafless_targets_make_no_gate_attempt(monkeypatch):
     """Without bare Hadamards a leafless target can only be a root, so
-    K3,3 and C4 under --allow-intra try no gate at all."""
+    K3,3 and C4 under --allow-intra try no gate at all. Nor does a
+    perfect matching, the last root, since the roots are scanned only
+    once all are checked. net6 stops its last expansion at the first
+    state that finishes, well short of the 5514 attempts of expanding
+    that depth in full."""
     attempts = []
     postselect = planner._zz_postselect_rows
 
@@ -531,9 +560,11 @@ def test_leafless_targets_make_no_gate_attempt(monkeypatch):
     monkeypatch.setattr(planner, "_zz_postselect_rows", counting)
     for target in (K33, C4):
         assert brute_force_schedule_search(target, allow_intra=True) is None
+    matching = Graph.from_edges(4, [(0, 3), (1, 2)])
+    assert brute_force_schedule_search(matching, allow_intra=True).gate_count() == 0
     assert attempts == []
     assert brute_force_schedule_search(NET6, allow_intra=True) is not None
-    assert attempts
+    assert 0 < len(attempts) < 5514 // 2
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
