@@ -186,13 +186,18 @@ def _check_levels(m: int, cap: int) -> None:
         raise ValueError(f"--m must be at most {cap}, got {m}")
 
 
+def _positive(value: float) -> bool:
+    """True for a finite value above zero; nan and inf are not."""
+    return math.isfinite(value) and value > 0
+
+
 def _resolve_t0(args) -> float | None:
     if args.t0_seconds is not None:
-        if args.t0_seconds <= 0:
+        if not _positive(args.t0_seconds):
             raise ValueError("t0 must be positive")
         return args.t0_seconds
     if args.rep_rate_hz is not None:
-        if args.rep_rate_hz <= 0:
+        if not _positive(args.rep_rate_hz):
             raise ValueError("repetition rate must be positive")
         return 1.0 / args.rep_rate_hz
     return None

@@ -288,7 +288,12 @@ def _run_trial_range(
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    At p_hat = 0 the lower bound is exactly 0 and at p_hat = 1 the upper
+    bound is exactly 1 (center - half and center + half in exact
+    arithmetic), so the interval always holds its own estimate; the
+    float formula can miss them by one ulp."""
     if trials <= 0:
         return 0.0, 1.0
     if not 0 <= successes <= trials:
@@ -298,7 +303,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lower = 0.0 if successes == 0 else max(0.0, center - half)
+    upper = 1.0 if successes == trials else min(1.0, center + half)
+    return lower, upper
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ allowed). Both are goal-directed without changing which schedule they
 find: the forest search keeps only forests that a backward walk from
 the target reaches, and the stabilizer search tries on each new state,
 as soon as it is found, only the steps that can finish the target, so
-its last expansion stops at the first state that finishes. Both keep
-bare ints as search states; the StabilizerGroup methods that
-execute_schedule uses stay the reference for the packed kernels.
+its last expansion stops at the first state that finishes. That scan
+builds no successor: it tests whether the step's result is the goal by
+stabilizer membership, row by row. Both keep bare ints as search
+states; the StabilizerGroup methods that execute_schedule uses stay the
+reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -42,6 +44,8 @@ from .pauli import (
     _canonical_rows,
     _canonical_rows_of,
     _hadamard_rows,
+    _packed_product,
+    _residual,
     _zz_postselect_rows,
 )
 
@@ -501,14 +505,15 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
     is reached by a schedule with the fewest gates. The search ends at
     max_gates gates or as soon as a depth finds no new key.
 
-    finish(key), when given, yields a subsequence of expand(key), in the
-    same order, that holds every successor satisfying is_goal. Each new
-    key is then scanned with finish as soon as it joins the frontier (the
-    roots together, once every root is checked by is_goal, so a root that
-    is the goal wins), and no key at max_gates - 1 gates is expanded. The
-    keys are scanned in frontier order, and a full expansion of a scanned
-    key reaches no goal first, so the goal found and its schedule are the
-    same; the last expansion just stops at the first key that finishes.
+    finish(key), when given, yields (step, goal key) for exactly the
+    successors of expand(key) that satisfy is_goal, in expand's order,
+    without having to build the others. Each new key is then scanned with
+    finish as soon as it joins the frontier (the roots together, once
+    every root is checked by is_goal, so a root that is the goal wins),
+    and no key at max_gates - 1 gates is expanded. The keys are scanned in
+    frontier order, and a full expansion of a scanned key reaches no goal
+    first, so the goal found and its schedule are the same; the last
+    expansion just stops at the first key that finishes.
     """
     roots = ((m, start(m)) for m in _matchings(list(range(target.num_vertices))))
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
@@ -524,10 +529,9 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
 
     def finished(key):
         """The first goal one finishing step reaches from key, or None."""
-        for step, new_key in finish(key):
-            if is_goal(new_key):
-                seen[new_key] = (key, step)
-                return new_key
+        for step, goal in finish(key):
+            seen[goal] = (key, step)
+            return goal
         return None
 
     frontier = [None]  # a virtual root whose successors are the roots
@@ -649,7 +653,19 @@ def _search_stabilizer(
     holds that only when i2 is a leaf of i1. So the steps that can finish
     a schedule are the gates onto the target's leaves and, when allowed,
     the Hadamards; _breadth_first scans each new state with these. With
-    none of them, only a root can be the target."""
+    none of them, only a root can be the target.
+
+    The scan builds no successor: it tests membership in the goal
+    (Aaronson & Gottesman, quant-ph/0406196). A gate (i1, i2) takes S to
+    the goal iff its postselection leaves U = H_i2(goal), which holds
+    +Z_i1 Z_i2 because i2 is a leaf of i1. The postselected group is
+    generated by Z_i1 Z_i2, the rows of S that commute with it, and each
+    other anticommuting row times the first; both groups have 2^n
+    elements, so it is U iff those rows all lie in U. A state holding
+    -Z_i1 Z_i2 has no anticommuting row and fails, as the gate is
+    impossible. A Hadamard on q finishes iff S is H_q(goal): one lookup
+    gives every such q, lowest first (two q can share H_q(goal), as the
+    ends of a lone edge do)."""
     n = target.num_vertices
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
@@ -657,8 +673,17 @@ def _search_stabilizer(
 
     goal = _canonical_rows_of(graph_to_stabilizers(target))
     every_gate = [(i1, i2) for i1 in range(n) for i2 in range(n) if i1 != i2]
-    finishing = sorted((row.bit_length() - 1, i2)
-                       for i2, row in enumerate(target.adj) if row.bit_count() == 1)
+    # each gate onto a target leaf, with the goal before that gate's Hadamard
+    finishing = [(i1, i2, _canonical_rows(_hadamard_rows(goal, n, i2), n))
+                 for i1, i2 in sorted((row.bit_length() - 1, i2)
+                                      for i2, row in enumerate(target.adj)
+                                      if row.bit_count() == 1)]
+    # the Hadamards that finish from each state, lowest q first
+    hadamard_finish: dict[tuple[int, ...], list[Hadamard]] = {}
+    if allow_hadamard:
+        for q in range(n):
+            before = _canonical_rows(_hadamard_rows(goal, n, q), n)
+            hadamard_finish.setdefault(before, []).append(hadamards[q])
     if not finishing and not allow_hadamard:
         max_gates = 0
 
@@ -667,33 +692,48 @@ def _search_stabilizer(
         parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
         return _canonical_rows_of(graph_to_stabilizers(pairs)), parts
 
-    def gate_steps(key: tuple, pairs: list[tuple[int, int]]):
+    def merged(parts: tuple[int, ...], i1: int, i2: int) -> tuple[int, ...]:
+        if not track_parts:
+            return parts
+        joined = parts[i1] | parts[i2]
+        return tuple(joined if joined >> q & 1 else p for q, p in enumerate(parts))
+
+    def expand(key: tuple):
         rows, parts = key
-        for i1, i2 in pairs:
+        for i1, i2 in every_gate:
             if track_parts and parts[i1] >> i2 & 1:
                 continue
             _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
-            if measured is None:
-                continue
-            new_parts = parts
-            if track_parts:
-                merged = parts[i1] | parts[i2]
-                new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
-            yield gates[i1][i2], (_canonical_rows(_hadamard_rows(measured, n, i2), n), new_parts)
-
-    def hadamard_steps(key: tuple):
+            if measured is not None:
+                new_rows = _canonical_rows(_hadamard_rows(measured, n, i2), n)
+                yield gates[i1][i2], (new_rows, merged(parts, i1, i2))
         if allow_hadamard:
-            rows, parts = key
             for q in range(n):
                 yield hadamards[q], (_canonical_rows(_hadamard_rows(rows, n, q), n), parts)
 
-    def expand(key: tuple):
-        yield from gate_steps(key, every_gate)
-        yield from hadamard_steps(key)
+    def postselects_into(rows: tuple[int, ...], i1: int, i2: int, before: tuple[int, ...]) -> bool:
+        """True iff keeping +Z_i1 Z_i2 on the group of rows leaves the
+        group whose canonical rows are before."""
+        first = None
+        for row in rows:
+            if (row >> i1 ^ row >> i2) & 1:
+                if first is None:
+                    first = row
+                    continue
+                row = _packed_product(row, first, n)
+            if _residual(before, row, n):
+                return False
+        return True
 
     def finish(key: tuple):
-        yield from gate_steps(key, finishing)
-        yield from hadamard_steps(key)
+        rows, parts = key
+        for i1, i2, before in finishing:
+            if track_parts and parts[i1] >> i2 & 1:
+                continue
+            if postselects_into(rows, i1, i2, before):
+                yield gates[i1][i2], (goal, merged(parts, i1, i2))
+        for step in hadamard_finish.get(rows, ()):
+            yield step, (goal, parts)
 
     return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates, finish)
 

@@ -390,3 +390,20 @@ def test_analyze_t0_seconds_overrides_rep_rate(capsys):
                  "--rep-rate-hz", "1e6", "--t0-seconds", "2.0"]) == 0
     out = capsys.readouterr().out
     assert "at t0 = 2 s" in out
+
+
+def test_analyze_rejects_non_finite_pulse_timing(tmp_path, capsys):
+    """nan, inf and -inf for --rep-rate-hz and --t0-seconds exit 2 with
+    the messages of a non-positive value, as flags and from --config."""
+    analyze = ["analyze", "--m", "3", "--eta-s", "0.1", "--eta-d", "0.7"]
+    cfg = tmp_path / "timing.cfg"
+    for flag, message in (("rep-rate-hz", "repetition rate must be positive"),
+                          ("t0-seconds", "t0 must be positive")):
+        for value in ("nan", "inf", "-inf"):
+            assert main(analyze + [f"--{flag}={value}"]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
+            cfg.write_text(f"{flag} = {value}\n")
+            assert main(analyze + ["--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""

@@ -65,6 +65,17 @@ def test_wilson_interval_against_textbook_formula():
     assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+def test_wilson_interval_holds_its_estimate_at_the_extremes():
+    """At p_hat = 0 and 1 the bounds are exactly 0 and 1, where the float
+    formula alone gives 0.9999999999999999 for thousands of n."""
+    for z in (1.959963984540054, 3.0, 4.0):
+        for n in range(1, 5001):
+            lo, hi = wilson_interval(n, n, z)
+            assert hi == 1.0 and 0.0 < lo < 1.0, (z, n)
+            lo, hi = wilson_interval(0, n, z)
+            assert lo == 0.0 and 0.0 < hi < 1.0, (z, n)
+
+
 def test_uniform_stream_is_keyed_by_trial():
     a = _UniformStream(42, 0)
     b = _UniformStream(42, 0)

@@ -567,6 +567,138 @@ def test_leafless_targets_make_no_gate_attempt(monkeypatch):
     assert 0 < len(attempts) < 5514 // 2
 
 
+def _reference_finish(target: Graph, allow_intra: bool, allow_hadamard: bool):
+    """The stabilizer engine's finishing scan as construct and compare:
+    build the successor of each gate onto a target leaf, then of each
+    Hadamard, and keep those that are the goal, as (step, key)."""
+    n = target.num_vertices
+    goal = _canonical_rows_of(graph_to_stabilizers(target))
+    finishing = sorted((row.bit_length() - 1, i2)
+                       for i2, row in enumerate(target.adj) if row.bit_count() == 1)
+
+    def finish(key):
+        rows, parts = key
+        for i1, i2 in finishing:
+            if not allow_intra and parts[i1] >> i2 & 1:
+                continue
+            _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+            if measured is None:
+                continue
+            new_parts = parts
+            if not allow_intra:
+                merged = parts[i1] | parts[i2]
+                new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
+            if _canonical_rows(_hadamard_rows(measured, n, i2), n) == goal:
+                yield PbsGate(i1, i2), (goal, new_parts)
+        if allow_hadamard:
+            for q in range(n):
+                if _canonical_rows(_hadamard_rows(rows, n, q), n) == goal:
+                    yield Hadamard(q), (goal, parts)
+
+    return finish
+
+
+def _engine_finish(monkeypatch, target: Graph, allow_intra: bool, allow_hadamard: bool,
+                   max_gates: int | None = None):
+    """Run the stabilizer search on target and return its finish and the
+    keys that the search scanned with it, in order."""
+    run = {"scanned": []}
+    breadth_first = planner._breadth_first
+
+    def recording(target, start, expand, is_goal, max_gates, finish=None):
+        run["finish"] = finish
+
+        def scanning(key):
+            run["scanned"].append(key)
+            return finish(key)
+
+        return breadth_first(target, start, expand, is_goal, max_gates, scanning)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_breadth_first", recording)
+        brute_force_schedule_search(target, allow_intra=allow_intra, allow_hadamard=allow_hadamard,
+                                    max_gates=max_gates)
+    return run["finish"], run["scanned"]
+
+
+def _postselected(rows: tuple[int, ...], n: int, i1: int, i2: int) -> tuple[int, ...]:
+    """The canonical rows after a gate that is possible."""
+    _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+    return _canonical_rows(_hadamard_rows(measured, n, i2), n)
+
+
+def test_membership_finish_matches_construct_and_compare(monkeypatch):
+    """The engine's finishing scan tests goal membership without building
+    successors; it yields what building and comparing yields on every
+    state the search scans: net6 and star-4 with intra gates, star-4 and
+    path-4 with Hadamards alone (cluster masks tracked), and seeded random
+    6-vertex graphs with both flags at a cap of 3 gates (all unreachable,
+    about 1300 states each). Random states rarely finish and hold
+    no impossible gate, so states are also built on purpose: one gate
+    short of the goal, holding -Z_i1 Z_i2, with no row anticommuting with
+    Z_i1 Z_i2, and one where two Hadamards finish and the lower q leads."""
+    rng = random.Random(15)
+    pairs = list(itertools.combinations(range(6), 2))
+    cases = [(NET6, True, False, None), (STAR4, True, False, None), (STAR4, False, True, None),
+             (PATH4, False, True, None)]
+    cases += [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), True, True, 3)
+              for _ in range(6)]
+    scanned = finishing = impossible = 0
+    for target, intra, hadamard, cap in cases:
+        finish, keys = _engine_finish(monkeypatch, target, intra, hadamard, cap)
+        reference = _reference_finish(target, intra, hadamard)
+        leaves = [(row.bit_length() - 1, i2)
+                  for i2, row in enumerate(target.adj) if row.bit_count() == 1]
+        for key in keys:
+            expected = list(reference(key))
+            assert list(finish(key)) == expected, (target.sorted_edges(), key)
+            finishing += bool(expected)
+            impossible += sum(_zz_postselect_rows(key[0], target.num_vertices, i1, i2)[1] is None
+                              for i1, i2 in leaves)
+        scanned += len(keys)
+    assert scanned > 8000 and finishing == 3 and impossible > 0
+
+    # net6 one gate short of the goal, replayed on packed rows
+    finish, _keys = _engine_finish(monkeypatch, NET6, True, False)
+    goal = _canonical_rows_of(graph_to_stabilizers(NET6))
+    sched = brute_force_schedule_search(NET6, allow_intra=True)
+    matching = [ins.qubits for ins in sched.instructions if isinstance(ins, CreatePair)]
+    *gates, last = [ins for ins in sched.instructions if isinstance(ins, PbsGate)]
+    rows = _canonical_rows_of(graph_to_stabilizers(Graph.from_edges(6, matching)))
+    for gate in gates:
+        rows = _postselected(rows, 6, gate.i1, gate.i2)
+    assert rows != goal and _postselected(rows, 6, last.i1, last.i2) == goal
+    assert next(finish((rows, ()))) == (last, (goal, ()))
+    assert list(finish((rows, ()))) == list(_reference_finish(NET6, True, False)((rows, ())))
+
+    # star-4 under intra gates: the finishing gates are (0, 1), (0, 2), (0, 3)
+    n = 4
+    finish, _keys = _engine_finish(monkeypatch, STAR4, True, False)
+    reference = _reference_finish(STAR4, True, False)
+    goal = _canonical_rows_of(graph_to_stabilizers(STAR4))
+    # before the Hadamard of gate (0, 1): holds +Z_0 Z_1, which no row anticommutes with
+    before = _canonical_rows(_hadamard_rows(goal, n, 1), n)
+    assert not any((row ^ row >> 1) & 1 for row in before)
+    assert list(finish((before, ()))) == list(reference((before, ()))) == [(PbsGate(0, 1), (goal, ()))]
+    # X_0 conjugation flips the sign of every row with Z on qubit 0: -Z_0 Z_1
+    flipped = _canonical_rows([row ^ (row >> n & 1) << 2 * n for row in before], n)
+    assert _zz_postselect_rows(flipped, n, 0, 1) == (0.0, None)
+    assert all(step != PbsGate(0, 1) for step, _key in finish((flipped, ())))
+    assert list(finish((flipped, ()))) == list(reference((flipped, ())))
+
+    # a lone edge (4, 5) is left alone by H_4 H_5, so H_4 and H_5 both
+    # finish; with every qubit in one cluster no gate can come first
+    target = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    finish, _keys = _engine_finish(monkeypatch, target, False, True)
+    goal = _canonical_rows_of(graph_to_stabilizers(target))
+    before = _canonical_rows(_hadamard_rows(goal, 6, 5), 6)
+    assert before == _canonical_rows(_hadamard_rows(goal, 6, 4), 6)
+    key = (before, (0b111111,) * 6)
+    steps = list(finish(key))
+    assert steps == list(_reference_finish(target, False, True)(key))
+    assert steps == [(Hadamard(4), (goal, key[1])), (Hadamard(5), (goal, key[1]))]
+
+
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
     """Pairs created between gates, inter- and intra-cluster PBS gates
     and bare Hadamards, on seeded distinct ids in shuffled order.
