@@ -192,15 +192,23 @@ def _positive(value: float) -> bool:
 
 
 def _resolve_t0(args) -> float | None:
+    """The pulse period: --t0-seconds if given, else 1 / --rep-rate-hz.
+    Every given flag is checked, and so is the period a rate gives."""
+    if args.t0_seconds is not None and not _positive(args.t0_seconds):
+        raise ValueError("t0 must be positive")
+    if args.rep_rate_hz is not None and not (
+        _positive(args.rep_rate_hz) and math.isfinite(1.0 / args.rep_rate_hz)
+    ):
+        raise ValueError("repetition rate must be positive")
     if args.t0_seconds is not None:
-        if not _positive(args.t0_seconds):
-            raise ValueError("t0 must be positive")
         return args.t0_seconds
-    if args.rep_rate_hz is not None:
-        if not _positive(args.rep_rate_hz):
-            raise ValueError("repetition rate must be positive")
-        return 1.0 / args.rep_rate_hz
-    return None
+    return None if args.rep_rate_hz is None else 1.0 / args.rep_rate_hz
+
+
+def _seconds(over_t0: float, log10: float, t0: float) -> str:
+    """T/t0 times t0, or 10^(log10 T/t0 + log10 t0) when that overflows."""
+    seconds = over_t0 * t0
+    return f"{seconds:.6g}" if math.isfinite(seconds) else f"10^{log10 + math.log10(t0):.6g}"
 
 
 def cmd_analyze(args) -> int:
@@ -237,9 +245,9 @@ def cmd_analyze(args) -> int:
     print(f"T_approx/t0 = {head.t_approx_over_t0:.12g}  (log10 = {approx_log10:.6g})")
     if t0 is not None:
         if math.isfinite(head.t_exact_over_t0):
-            print(f"T_exact  = {head.t_exact_over_t0 * t0:.6g} s at t0 = {t0:.4g} s")
+            print(f"T_exact  = {_seconds(head.t_exact_over_t0, exact_log10, t0)} s at t0 = {t0:.4g} s")
         if math.isfinite(head.t_approx_over_t0):
-            print(f"T_approx = {head.t_approx_over_t0 * t0:.6g} s at t0 = {t0:.4g} s")
+            print(f"T_approx = {_seconds(head.t_approx_over_t0, approx_log10, t0)} s at t0 = {t0:.4g} s")
     return 0
 
 

@@ -10,7 +10,10 @@ Hadamard, and postselection keeps configurations with exactly one
 photon per listed port.
 
 Qubit encoding: a single H photon in a port is |0>, a single V photon
-is |1>.
+is |1>. One builder, _dual_rail, makes every such state (make_bell_pair,
+the stabilizer bridge). FockState.validate() runs only where a state enters
+or leaves the layer: tensor's inputs, the builder's result and the end of
+planner.execute_schedule_fock; mode operations keep valid states valid.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ class ModeLabel(NamedTuple):
 class FockState:
     """Amplitudes over occupation-number configurations of fixed modes.
 
-    modes is always sorted; a configuration tuple holds one occupation
-    number (0..2) per mode in that order.
+    modes is sorted and distinct, and a configuration tuple holds one
+    occupation number (0..2) per mode in that order; validate() checks it.
     """
 
     modes: tuple[ModeLabel, ...]
     amplitudes: dict[tuple[int, ...], complex]
 
-    def __post_init__(self) -> None:
+    def validate(self) -> "FockState":
+        """Raise ValueError unless the invariants above hold; return self."""
         if tuple(sorted(self.modes)) != self.modes:
             raise ValueError("modes must be sorted")
         if len(set(self.modes)) != len(self.modes):
@@ -53,9 +57,7 @@ class FockState:
                 raise ValueError("configuration length mismatch")
             if any(not 0 <= occ <= MAX_OCCUPANCY for occ in config):
                 raise ValueError(f"occupancy outside 0..{MAX_OCCUPANCY}: {config}")
-
-    def ports(self) -> tuple[int, ...]:
-        return tuple(sorted({m.port for m in self.modes}))
+        return self
 
     def mode_index(self, port: int, pol: str) -> int:
         return self.modes.index(ModeLabel(port, pol))
@@ -149,34 +151,33 @@ def _hwp_terms(m: int, k: int) -> list[tuple[tuple[int, int], float]]:
 # ===== state constructors =====
 
 
-def _state_from_photon_maps(
-    modes: Sequence[ModeLabel], terms: dict[tuple[tuple[int, str], ...], complex]
-) -> FockState:
-    modes = tuple(sorted(modes))
+def _dual_rail(ports: Sequence[int], basis_amplitudes: Iterable[tuple[int, complex]]) -> FockState:
+    """Dual-rail state of qubits on ports: qubit q sits on port ports[q],
+    bit q of a basis index b is one H photon (0) or one V photon (1).
+    Modes are sorted; configurations keep the order of basis_amplitudes."""
+    modes = tuple(sorted(ModeLabel(p, pol) for p in ports for pol in ("H", "V")))
+    rails = [(modes.index(ModeLabel(p, "H")), modes.index(ModeLabel(p, "V"))) for p in ports]
     amplitudes: dict[tuple[int, ...], complex] = {}
-    for photons, amp in terms.items():
+    for b, amp in basis_amplitudes:
         config = [0] * len(modes)
-        for port, pol in photons:
-            config[modes.index(ModeLabel(port, pol))] += 1
-        amplitudes[tuple(config)] = amplitudes.get(tuple(config), 0j) + amp
-    return FockState(modes, amplitudes)
+        for q, (ih, iv) in enumerate(rails):
+            config[iv if b >> q & 1 else ih] = 1
+        amplitudes[tuple(config)] = amp
+    return FockState(modes, amplitudes).validate()
 
 
 def make_bell_pair(port_a: int, port_b: int) -> FockState:
     """(|H H> + |V V>)/sqrt2 across two ports (four modes)."""
     if port_a == port_b:
         raise ValueError("ports must differ")
-    modes = [ModeLabel(port_a, "H"), ModeLabel(port_a, "V"),
-             ModeLabel(port_b, "H"), ModeLabel(port_b, "V")]
-    r = 1 / math.sqrt(2)
-    return _state_from_photon_maps(modes, {
-        ((port_a, "H"), (port_b, "H")): r,
-        ((port_a, "V"), (port_b, "V")): r,
-    })
+    r = complex(1 / math.sqrt(2))
+    return _dual_rail((port_a, port_b), ((0b00, r), (0b11, r)))
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
-    """Combine two states on disjoint mode sets."""
+    """Combine two states on disjoint mode sets; both are validated."""
+    a.validate()
+    b.validate()
     if set(a.modes) & set(b.modes):
         raise ValueError("mode sets overlap")
     modes = tuple(sorted(a.modes + b.modes))
@@ -240,25 +241,7 @@ def qubit_statevector_from_stabilizers(
     if vector is None:
         raise AssertionError("projector annihilated every basis state")
 
-    modes = tuple(sorted(ModeLabel(p, pol) for p in ports for pol in ("H", "V")))
-    positions = []
-    for q in range(n):
-        positions.append((modes.index(ModeLabel(ports[q], "H")),
-                          modes.index(ModeLabel(ports[q], "V"))))
-    amplitudes: dict[tuple[int, ...], complex] = {}
-    for b in range(dim):
-        amp = vector[b]
-        if abs(amp) <= _TOL:
-            continue
-        config = [0] * len(modes)
-        for q in range(n):
-            ih, iv = positions[q]
-            if b >> q & 1:
-                config[iv] = 1
-            else:
-                config[ih] = 1
-        amplitudes[tuple(config)] = complex(amp)
-    return FockState(modes, amplitudes)
+    return _dual_rail(ports, ((b, complex(amp)) for b, amp in enumerate(vector) if abs(amp) > _TOL))
 
 
 def fidelity(a: FockState, b: FockState) -> float:

@@ -34,9 +34,8 @@ import numpy as np
 
 from .scaling import (
     ProtocolParams,
+    _level_probs,
     a_closed_form,
-    base_success_prob,
-    connection_success_prob,
     total_time_approx_log10,
     total_time_exact_log10,
 )
@@ -352,14 +351,9 @@ class SimResult:
         that is the simulated model."""
         m = self.params.m
         a_list = [a_closed_form(level, self.params.eta_d) for level in range(m)]
-        p_list = [base_success_prob(self.params.eta_s, self.params.eta_d)]
-        p_list += [
-            connection_success_prob(a_closed_form(level - 1, self.params.eta_d), self.params.eta_d)
-            for level in range(1, m)
-        ]
         return {
             "a_m": a_list,
-            "p_m": p_list,
+            "p_m": _level_probs(self.params),
             "T_exact_log10": total_time_exact_log10(self.params),
             "T_approx_log10": total_time_approx_log10(
                 self.params.n, self.params.eta_s, self.params.eta_d

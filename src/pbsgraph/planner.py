@@ -795,7 +795,7 @@ def execute_schedule_fock(sched: Schedule) -> tuple[float, FockState | None]:
         elif isinstance(ins, Hadamard):
             assert state is not None
             state = state.apply_hwp_hadamard(ins.q)
-    return prob, state
+    return prob, None if state is None else state.validate()
 
 
 # ---------------------------------------------------------------------------

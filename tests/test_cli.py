@@ -407,3 +407,41 @@ def test_analyze_rejects_non_finite_pulse_timing(tmp_path, capsys):
             assert main(analyze + ["--config", str(cfg)]) == 2
             captured = capsys.readouterr()
             assert message in captured.err and captured.out == ""
+
+
+def _analyze_with_timing(tmp_path, capsys, timing):
+    """analyze at m=3 with the given timing flags, once on the command line
+    and once through --config: [(exit code, stdout, stderr)] for each."""
+    analyze = ["analyze", "--m", "3", "--eta-s", "0.1", "--eta-d", "0.7"]
+    cfg = tmp_path / "timing.cfg"
+    cfg.write_text("".join(f"{flag} = {value}\n" for flag, value in timing))
+    runs = []
+    for argv in (analyze + [f"--{flag}={value}" for flag, value in timing],
+                 analyze + ["--config", str(cfg)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    return runs
+
+
+def test_analyze_checks_every_timing_flag_and_the_period_a_rate_gives(tmp_path, capsys):
+    """A bad flag fails even when the other one sets t0, and a rate whose
+    period overflows (1/1e-320 is inf) fails too."""
+    for timing, message in (
+        ((("rep-rate-hz", "1e-320"),), "repetition rate must be positive"),
+        ((("rep-rate-hz", "-5"), ("t0-seconds", "1e-9")), "repetition rate must be positive"),
+        ((("rep-rate-hz", "1e-320"), ("t0-seconds", "1e-9")), "repetition rate must be positive"),
+        ((("rep-rate-hz", "1e6"), ("t0-seconds", "0")), "t0 must be positive"),
+    ):
+        for code, out, err in _analyze_with_timing(tmp_path, capsys, timing):
+            assert code == 2 and message in err and out == ""
+
+
+def test_analyze_prints_an_overflowing_time_as_a_power_of_ten(tmp_path, capsys):
+    """T_exact/t0 and t0 are finite but their product is not: the time is
+    printed as 10^(log10 T/t0 + log10 t0), as the T_exact/t0 line does."""
+    for code, out, err in _analyze_with_timing(tmp_path, capsys, (("t0-seconds", "1e307"),)):
+        assert code == 0 and err == ""
+        assert "T_exact  = 10^309.439 s at t0 = 1e+307 s" in out
+        assert "T_approx = 10^308.961 s at t0 = 1e+307 s" in out
+        assert "inf" not in out

@@ -8,7 +8,13 @@ import networkx as nx
 import pytest
 
 from pbsgraph import planner
-from pbsgraph.fock import fidelity, qubit_statevector_from_stabilizers
+from pbsgraph.fock import (
+    FockState,
+    fidelity,
+    make_bell_pair,
+    qubit_statevector_from_stabilizers,
+    tensor,
+)
 from pbsgraph.graphs import (
     Graph,
     apply_pbs_gate,
@@ -817,6 +823,64 @@ def test_execute_schedule_validates_its_result(monkeypatch):
     monkeypatch.setattr(planner_module, "apply_pbs_gate", corrupt)
     with pytest.raises(ValueError, match="not independent"):
         execute_schedule(Schedule((CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2))))
+
+
+def _replay_fock_validating(sched: Schedule) -> tuple[float, FockState | None]:
+    """execute_schedule_fock step by step with the public mode ops,
+    validating every intermediate state."""
+    state = None
+    prob = 1.0
+    for ins in sched.instructions:
+        if isinstance(ins, CreatePair):
+            pair = make_bell_pair(ins.q_a, ins.q_b).validate().apply_hwp_hadamard(ins.q_b).validate()
+            state = pair if state is None else tensor(state, pair).validate()
+        elif isinstance(ins, PbsGate):
+            state = state.apply_pbs(ins.i1, ins.i2).validate()
+            gate_prob, kept = state.postselect_single_photon([ins.i1, ins.i2])
+            if kept is None:
+                return 0.0, None
+            prob *= gate_prob
+            state = kept.validate().apply_hwp_hadamard(ins.i2).validate()
+        else:
+            state = state.apply_hwp_hadamard(ins.q).validate()
+    return prob, state
+
+
+def test_unchecked_fock_execution_matches_validated_replay():
+    """execute_schedule_fock validates only its result; replaying the same
+    random mixed schedules with validate() on every intermediate state
+    gives the same probability and the same amplitudes, in order."""
+    rng = random.Random(3)
+    with_intra = with_hadamard = impossible = 0
+    for _ in range(150):
+        sched, intra = _random_mixed_schedule(rng)
+        prob, state = execute_schedule_fock(sched)
+        replay_prob, replay_state = _replay_fock_validating(sched)
+        assert prob == replay_prob
+        if state is None:
+            assert replay_state is None
+        else:
+            assert state.modes == replay_state.modes
+            assert list(state.amplitudes.items()) == list(replay_state.amplitudes.items())
+        with_hadamard += any(isinstance(ins, Hadamard) for ins in sched.instructions)
+        with_intra += intra > 0
+        impossible += prob == 0.0
+    assert with_intra >= 50 and with_hadamard >= 50 and impossible >= 3
+
+
+def test_execute_schedule_fock_validates_its_result(monkeypatch):
+    """Mode operations are not re-checked, but a corrupted state cannot
+    leave. The corruption lists the modes in reverse: the same physical
+    state, which every later mode operation accepts."""
+    apply_pbs = FockState.apply_pbs
+
+    def corrupt(state, port_a, port_b):
+        out = apply_pbs(state, port_a, port_b)
+        return FockState(out.modes[::-1], {c[::-1]: a for c, a in out.amplitudes.items()})
+
+    monkeypatch.setattr(FockState, "apply_pbs", corrupt)
+    with pytest.raises(ValueError, match="modes must be sorted"):
+        execute_schedule_fock(Schedule((CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2))))
 
 
 def test_fock_execution_handles_hadamard_instructions():
