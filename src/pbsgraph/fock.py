@@ -1,19 +1,24 @@
-"""Small dense Fock-space oracle for dual-rail polarization qubits.
+"""Fock-space oracle for dual-rail polarization qubits.
 
-States live on a list of (port, polarization) modes with at most two
-photons per mode, held as a sparse {occupation tuple: amplitude} dict.
-This is the transparent reference implementation the stabilizer engine
-is checked against: the beam splitter transmits H and swaps the two V
-mode operators with unit amplitude (the convention here adds no
-reflection phase), a half-wave plate mixes H and V of one port like a
-Hadamard, and postselection keeps configurations with exactly one
-photon per listed port.
+FockState holds amplitudes over occupation-number configurations of a
+list of (port, polarization) modes, at most two photons per mode, as a
+sparse {occupation tuple: amplitude} dict. Its mode rules are the
+transparent physics the stabilizer engine is checked against: the beam
+splitter transmits H and swaps the two V mode operators with unit
+amplitude (the convention here adds no reflection phase), a half-wave
+plate mixes H and V of one port like a Hadamard, and postselection keeps
+configurations with exactly one photon per listed port.
 
 Qubit encoding: a single H photon in a port is |0>, a single V photon
-is |1>. One builder, _dual_rail, makes every such state (make_bell_pair,
-the stabilizer bridge). FockState.validate() runs only where a state enters
-or leaves the layer: tensor's inputs, the builder's result and the end of
-planner.execute_schedule_fock; mode operations keep valid states valid.
+is |1>. One builder, _dual_rail, makes every such FockState; _dual_rail_array
+reads one back as a dense array. Between gates every port holds exactly
+one photon, so the whole-schedule oracle (planner.execute_schedule_fock)
+and the stabilizer bridge hold a state of n qubits as a numpy array of
+shape (2,)*n, axis k the k-th smallest port and index 0 or 1 its H or V
+photon, capped at MAX_DENSE_QUBITS (2**16 amplitudes, 1 MB).
+FockState.validate() runs only where a state enters or leaves the
+layer: tensor's inputs, the builder's result and _dual_rail_array's
+input; mode operations keep valid states valid.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import StabilizerGroup
+from .pauli import StabilizerGroup, _canonical_rows_of
 
 MAX_OCCUPANCY = 2
+MAX_DENSE_QUBITS = 16
 _TOL = 1e-15
 
 
@@ -166,6 +172,23 @@ def _dual_rail(ports: Sequence[int], basis_amplitudes: Iterable[tuple[int, compl
     return FockState(modes, amplitudes).validate()
 
 
+def _dual_rail_array(state: FockState, ports: Sequence[int]) -> np.ndarray:
+    """The dense array of a dual-rail state: axis k is port ports[k], index
+    0 its H photon and 1 its V photon. Validates the state, and raises
+    unless every configuration holds exactly one photon in each listed
+    port and none elsewhere."""
+    state.validate()
+    rails = [(state.mode_index(p, "H"), state.mode_index(p, "V")) for p in ports]
+    if 2 * len(rails) != len(state.modes):
+        raise ValueError("ports must cover every mode")
+    out = np.zeros((2,) * len(rails), dtype=complex)
+    for config, amp in state.amplitudes.items():
+        if any(config[ih] + config[iv] != 1 for ih, iv in rails):
+            raise ValueError(f"not one photon per port: {config}")
+        out[tuple(config[iv] for _, iv in rails)] = amp
+    return out
+
+
 def make_bell_pair(port_a: int, port_b: int) -> FockState:
     """(|H H> + |V V>)/sqrt2 across two ports (four modes)."""
     if port_a == port_b:
@@ -210,51 +233,70 @@ def _apply_pauli_to_vector(pauli, vector: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm_squared(array: np.ndarray) -> float:
+    """Sum of |amplitude|^2 of a dense array by numpy's own reduction, not
+    a BLAS dot product: on 2**14 or more amplitudes those wake OpenBLAS
+    threads, which stalled for milliseconds per call on a busy 2-CPU
+    machine. Exact for dyadic amplitudes, as the bridge's are."""
+    return float(np.sum(array.real ** 2 + array.imag ** 2))
+
+
+def _lowest_support_state(group: StabilizerGroup) -> int:
+    """The lowest basis index b (bit q is qubit q) where the group's state
+    has nonzero amplitude. The support is {b : z.b = s for every element
+    (-1)**s Z^z of the Z-type subgroup}. The canonical rows with no X bit
+    span that subgroup, each leading with its own lowest Z bit and no
+    other row's leading bit, so setting every non-leading bit to 0 leaves
+    each leading bit equal to its row's sign bit, and that b is the
+    lowest solution."""
+    n = group.num_qubits
+    start = 0
+    for row in _canonical_rows_of(group):
+        if not row & ((1 << n) - 1):
+            pivot = (row & -row).bit_length() - 1 - n
+            start |= (row >> 2 * n) << pivot
+    return start
+
+
 def qubit_statevector_from_stabilizers(
     group: StabilizerGroup, ports: Sequence[int] | None = None
-) -> FockState:
-    """Dual-rail Fock encoding of the (unique) state a stabilizer group
-    fixes, built by applying the projectors (1 + g)/2 to a basis state.
+) -> np.ndarray:
+    """Dense dual-rail array of the (unique) state a stabilizer group
+    fixes, built by applying the projectors (1 + g)/2 to the lowest basis
+    state in its support and normalizing.
 
-    Qubit q maps to port ports[q] (default: port q); computational |0>
-    is one H photon, |1> one V photon. Capped at 12 qubits; validates group.
+    Qubit q sits on port ports[q] (default: port q), and axis k of the
+    result, of shape (2,)*n, is the k-th smallest port; index 0 is one H
+    photon (|0>), 1 one V photon (|1>). Capped at MAX_DENSE_QUBITS before
+    any allocation; validates group.
     """
     n = group.num_qubits
-    if n > 12:
-        raise ValueError("statevector bridge capped at 12 qubits")
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"statevector bridge capped at {MAX_DENSE_QUBITS} qubits")
     group.validate()
     if ports is None:
         ports = list(range(n))
     if len(ports) != n or len(set(ports)) != n:
         raise ValueError("need one distinct port per qubit")
-    dim = 1 << n
-    vector = None
-    for start in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[start] = 1.0
-        for g in group.generators:
-            v = (v + _apply_pauli_to_vector(g, v)) / 2
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-9:
-            vector = v / nrm
-            break
-    if vector is None:
-        raise AssertionError("projector annihilated every basis state")
-
-    return _dual_rail(ports, ((b, complex(amp)) for b, amp in enumerate(vector) if abs(amp) > _TOL))
+    vector = np.zeros(1 << n, dtype=complex)
+    vector[_lowest_support_state(group)] = 1.0
+    for g in group.generators:
+        vector = (vector + _apply_pauli_to_vector(g, vector)) / 2
+    nrm = math.sqrt(_norm_squared(vector))
+    if nrm <= 1e-9:
+        raise AssertionError("projector annihilated the lowest support state")
+    # reshaped, axis j is bit n-1-j, that is qubit n-1-j
+    by_port = sorted(range(n), key=lambda q: ports[q])
+    return np.ascontiguousarray((vector / nrm).reshape((2,) * n).transpose(
+        [n - 1 - q for q in by_port]))
 
 
-def fidelity(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 normalized by both norms. Mode sets must match."""
-    if a.modes != b.modes:
-        # both are sorted, so equal sets mean equal tuples
-        raise ValueError("mode sets differ")
-    overlap = 0j
-    for config, amp_b in b.amplitudes.items():
-        amp_a = a.amplitudes.get(config)
-        if amp_a is not None:
-            overlap += amp_a.conjugate() * amp_b
-    denom = a.norm_squared() * b.norm_squared()
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two dense dual-rail arrays, normalized by both norms.
+    Shapes must match."""
+    if a.shape != b.shape:
+        raise ValueError("shapes differ")
+    denom = _norm_squared(a) * _norm_squared(b)
     if denom <= 0:
         raise ValueError("zero-norm state")
-    return abs(overlap) ** 2 / denom
+    return float(abs(np.sum(a.conj() * b)) ** 2 / denom)

@@ -21,15 +21,27 @@ reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
-does the same in second quantization for cross-checking.
+does the same in second quantization for cross-checking, on a dense
+array whose gate maps it derives from the Fock mode rules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Generator, Iterator, Union
 
-from .fock import FockState, make_bell_pair, tensor
+import numpy as np
+
+from .fock import (
+    MAX_DENSE_QUBITS,
+    _TOL,
+    _dual_rail,
+    _dual_rail_array,
+    _norm_squared,
+    make_bell_pair,
+    tensor,
+)
 from .graphs import (
     Graph,
     apply_pbs_gate,
@@ -774,28 +786,78 @@ def execute_schedule(sched: Schedule) -> tuple[float, StabilizerGroup, Graph | N
     return prob, group.validate(), stabilizers_to_graph(group)
 
 
-def execute_schedule_fock(sched: Schedule) -> tuple[float, FockState | None]:
+def _fock_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense oracle's three maps, derived from the Fock mode rules on
+    ports 0 and 1: the created pair (2, 2), the PBS gate with its
+    one-photon-per-port postselection (2, 2, 2, 2; output axes first, not
+    renormalized) and the half-wave plate (2, 2; output axis first)."""
+    one_photon = [[_dual_rail((port,), ((bit, 1.0),)) for bit in (0, 1)] for port in (0, 1)]
+    pair = _dual_rail_array(make_bell_pair(0, 1).apply_hwp_hadamard(1), (0, 1))
+    gate = np.zeros((2, 2, 2, 2), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            inputs = tensor(one_photon[0][a], one_photon[1][b])
+            prob, kept = inputs.apply_pbs(0, 1).postselect_single_photon((0, 1))
+            if kept is not None:
+                gate[:, :, a, b] = math.sqrt(prob) * _dual_rail_array(kept, (0, 1))
+    hwp = np.stack([_dual_rail_array(state.apply_hwp_hadamard(0), (0,))
+                    for state in one_photon[0]], axis=1)
+    return pair, gate, hwp
+
+
+def _apply_map(op: np.ndarray, state: np.ndarray, axes: list[int]) -> np.ndarray:
+    """op, of shape (2,)*2k (k output axes, then k input axes), applied to
+    the given axes of state; every axis stays where it is. Each nonzero
+    entry of op adds one slice of state into one slice of the result,
+    which is tensordot's sum without its transposes or zero terms."""
+    k = len(axes)
+    out = np.zeros_like(state)
+    for index in zip(*np.nonzero(op)):
+        target, source = [slice(None)] * state.ndim, [slice(None)] * state.ndim
+        for axis, o, i in zip(axes, index[:k], index[k:]):
+            target[axis], source[axis] = o, i
+        out[tuple(target)] += op[index] * state[tuple(source)]
+    return out
+
+
+def execute_schedule_fock(sched: Schedule) -> tuple[float, np.ndarray | None]:
     """Second-quantized execution with per-gate postselection on one
-    photon in each of the gate's two ports. Measure is bookkeeping only;
-    ports keep the schedule's qubit ids."""
-    state: FockState | None = None
+    photon in each of the gate's two ports. Between gates every port
+    holds one photon, so the state is a dense array of shape (2,)*n,
+    each axis one port, index 0 an H photon and 1 a V photon; each call
+    derives the pair, gate and half-wave-plate maps from the FockState
+    mode rules. Returns the cumulative probability and the final array,
+    axis k the k-th smallest qubit id, or (0.0, None) after an
+    impossible gate and (1.0, None) for a schedule with no pair. Measure
+    is bookkeeping only. Refuses more than MAX_DENSE_QUBITS qubits
+    before any allocation."""
+    n = len(sched.qubit_ids())
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"Fock oracle capped at {MAX_DENSE_QUBITS} qubits, got {n}")
+    pair, gate, hwp = _fock_maps()
+    state: np.ndarray | None = None
+    ports: list[int] = []  # the port on each axis of state, in creation order
     prob = 1.0
     for ins in sched.instructions:
         if isinstance(ins, CreatePair):
-            pair = make_bell_pair(ins.q_a, ins.q_b).apply_hwp_hadamard(ins.q_b)
-            state = pair if state is None else tensor(state, pair)
+            state = pair if state is None else np.multiply.outer(state, pair)
+            ports += [ins.q_a, ins.q_b]
         elif isinstance(ins, PbsGate):
             assert state is not None
-            state = state.apply_pbs(ins.i1, ins.i2)
-            gate_prob, kept = state.postselect_single_photon([ins.i1, ins.i2])
-            if kept is None:
+            state = _apply_map(gate, state, [ports.index(ins.i1), ports.index(ins.i2)])
+            # the norm before the plate is the sum postselection takes on
+            # a FockState; after the unitary plate it rounds differently
+            gate_prob = _norm_squared(state)
+            if gate_prob <= _TOL**2:
                 return 0.0, None
             prob *= gate_prob
-            state = kept.apply_hwp_hadamard(ins.i2)
+            state = _apply_map(hwp, state * (1.0 / math.sqrt(gate_prob)), [ports.index(ins.i2)])
         elif isinstance(ins, Hadamard):
             assert state is not None
-            state = state.apply_hwp_hadamard(ins.q)
-    return prob, None if state is None else state.validate()
+            state = _apply_map(hwp, state, [ports.index(ins.q)])
+    if state is None:
+        return prob, None
+    return prob, np.ascontiguousarray(state.transpose(np.argsort(ports)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from pbsgraph.cli import main
 from pbsgraph.graphs import Graph, edge_list_text
-from pbsgraph.planner import parse_schedule
+from pbsgraph.planner import CreatePair, PbsGate, Schedule, execute_schedule, parse_schedule
 
 STAR4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -175,7 +175,8 @@ def test_simulate_and_analyze_bound_levels_at_the_boundary(monkeypatch, capsys):
 
     analyze = ["analyze", "--eta-s", "0.5", "--eta-d", "0.8", "--rep-rate-hz", "1e6"]
     assert main(analyze + ["--m", str(cli._MAX_ANALYZE_LEVELS)]) == 0
-    assert "T_approx/t0 = inf" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "T_exact/t0  = 10^157238\n" in out and "T_approx/t0 = 10^157237\n" in out
     for m in (cli._MAX_ANALYZE_LEVELS + 1, 10**6):
         assert main(analyze + ["--m", str(m)]) == 2
         assert f"--m must be at most {cli._MAX_ANALYZE_LEVELS}, got {m}" in capsys.readouterr().err
@@ -213,6 +214,52 @@ def test_plan_star_then_verify_round_trip(tmp_path, capsys):
     assert "probability: 0.5" in report
     assert "graph: 4 vertices" in report
     assert "oracle fidelity: 1.000000000000" in report
+
+
+def _oracle_report(capsys, sched_path) -> dict[str, str]:
+    assert main(["verify", str(sched_path), "--oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(line.split(": ", 1) for line in lines if ": " in line)
+
+
+def test_oracle_reaches_sixteen_qubits(tmp_path, capsys):
+    """The m=3 protocol schedule (16 qubits) and a 12-qubit schedule from
+    the join planner: the oracle reads the tableau's probability and
+    fidelity 1."""
+    protocol = tmp_path / "m3.sched"
+    assert main(["plan", "--protocol", "--m", "3", "--out", str(protocol)]) == 0
+    # 12-vertex caterpillar: pairs (2k+1, 2k+2), each joined to the next
+    pairs = [(2 * k, 2 * k + 1) for k in range(6)]
+    spine = [(2 * k + 1, 2 * k + 2) for k in range(5)]
+    graph = execute_schedule(Schedule(tuple(
+        [CreatePair(*p) for p in pairs] + [PbsGate(*e) for e in spine])))[2]
+    target = _write_graph(tmp_path, "caterpillar12.txt", graph)
+    joined = tmp_path / "caterpillar12.sched"
+    assert main(["plan", target, "--out", str(joined)]) == 0
+    capsys.readouterr()
+    for path, qubits in ((protocol, 16), (joined, 12)):
+        report = _oracle_report(capsys, path)
+        assert report["graph"].startswith(f"{qubits} vertices")
+        assert report["oracle probability"] == report["probability"]
+        assert report["oracle fidelity"] == "1.000000000000"
+
+
+def test_oracle_skips_past_its_cap_without_running(tmp_path, capsys, monkeypatch):
+    """A 32-qubit schedule is over the cap: verify says so and never calls
+    the dense executor or the bridge."""
+    import pbsgraph.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("oracle ran past its cap")
+
+    monkeypatch.setattr(cli, "execute_schedule_fock", refuse)
+    monkeypatch.setattr(cli, "qubit_statevector_from_stabilizers", refuse)
+    sched = tmp_path / "m4.sched"
+    assert main(["plan", "--protocol", "--m", "4", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    assert cli.MAX_DENSE_QUBITS == 16
+    report = _oracle_report(capsys, sched)
+    assert report["oracle"] == "skipped (32 qubits exceeds the 16-qubit cap)"
 
 
 def test_plan_unreachable_target(tmp_path, capsys):
@@ -426,11 +473,12 @@ def _analyze_with_timing(tmp_path, capsys, timing):
 
 def test_analyze_checks_every_timing_flag_and_the_period_a_rate_gives(tmp_path, capsys):
     """A bad flag fails even when the other one sets t0, and a rate whose
-    period overflows (1/1e-320 is inf) fails too."""
+    period overflows (1/1e-320 is inf) fails too, with its own message."""
     for timing, message in (
-        ((("rep-rate-hz", "1e-320"),), "repetition rate must be positive"),
+        ((("rep-rate-hz", "1e-320"),), "repetition rate too small: period overflows"),
         ((("rep-rate-hz", "-5"), ("t0-seconds", "1e-9")), "repetition rate must be positive"),
-        ((("rep-rate-hz", "1e-320"), ("t0-seconds", "1e-9")), "repetition rate must be positive"),
+        ((("rep-rate-hz", "1e-320"), ("t0-seconds", "1e-9")),
+         "repetition rate too small: period overflows"),
         ((("rep-rate-hz", "1e6"), ("t0-seconds", "0")), "t0 must be positive"),
     ):
         for code, out, err in _analyze_with_timing(tmp_path, capsys, timing):

@@ -8,17 +8,33 @@ import pytest
 
 from pbsgraph.fock import (
     _TOL,
+    MAX_DENSE_QUBITS,
     FockState,
     ModeLabel,
     _apply_pauli_to_vector,
     _dual_rail,
+    _dual_rail_array,
+    _lowest_support_state,
     fidelity,
     make_bell_pair,
     qubit_statevector_from_stabilizers,
     tensor,
 )
 from pbsgraph.graphs import Graph, graph_to_stabilizers
-from pbsgraph.pauli import StabilizerGroup
+from pbsgraph.pauli import PauliString, StabilizerGroup
+
+
+def _fock_fidelity(a: FockState, b: FockState) -> float:
+    """The former FockState fidelity: |<a|b>|^2 over both norms, on equal
+    mode sets."""
+    if a.modes != b.modes:
+        raise ValueError("mode sets differ")
+    overlap = sum(amp_a.conjugate() * b.amplitudes[config]
+                  for config, amp_a in a.amplitudes.items() if config in b.amplitudes)
+    denom = a.norm_squared() * b.norm_squared()
+    if denom <= 0:
+        raise ValueError("zero-norm state")
+    return abs(overlap) ** 2 / denom
 
 
 def _two_port_state(amplitudes) -> FockState:
@@ -110,7 +126,7 @@ def test_postselect_single_photon():
     bell = make_bell_pair(0, 1)
     prob, kept = bell.postselect_single_photon([0, 1])
     assert prob == pytest.approx(1.0)
-    assert fidelity(kept, bell) == pytest.approx(1.0)
+    assert _fock_fidelity(kept, bell) == pytest.approx(1.0)
 
     bunched = _two_port_state({(2, 0, 0, 0): 1.0})
     prob, kept = bunched.postselect_single_photon([0])
@@ -131,13 +147,43 @@ def test_tensor_requires_disjoint_ports():
 
 
 def test_fidelity_edge_cases():
+    """The same cases on FockStates (through the test-side overlap) and on
+    their dense arrays (through fidelity)."""
     bell = make_bell_pair(0, 1)
     hh = _two_port_state({(1, 0, 1, 0): 1.0})
     vv = _two_port_state({(0, 1, 0, 1): 1.0})
-    assert fidelity(hh, vv) == pytest.approx(0.0)
-    assert fidelity(bell, hh) == pytest.approx(0.5)
+    assert _fock_fidelity(hh, vv) == pytest.approx(0.0)
+    assert _fock_fidelity(bell, hh) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        fidelity(bell, make_bell_pair(0, 2))
+        _fock_fidelity(bell, make_bell_pair(0, 2))
+
+    bell_a, hh_a, vv_a = (_dual_rail_array(state, (0, 1)) for state in (bell, hh, vv))
+    assert fidelity(hh_a, vv_a) == pytest.approx(0.0)
+    assert fidelity(bell_a, hh_a) == pytest.approx(0.5)
+    assert fidelity(2 * bell_a, bell_a) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="shapes differ"):
+        fidelity(bell_a, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="zero-norm"):
+        fidelity(bell_a, np.zeros((2, 2)))
+
+
+def test_dual_rail_array_reads_one_photon_per_port():
+    """Axis k is ports[k]; H is index 0 and V index 1. A state with a port
+    left out, a bunched or an empty port, or malformed modes is refused."""
+    state = _dual_rail((7, 3), ((0b01, 0.6), (0b10, 0.8j)))  # qubit 0 on port 7
+    array = _dual_rail_array(state, (3, 7))
+    expected = np.zeros((2, 2), dtype=complex)
+    expected[0, 1], expected[1, 0] = 0.6, 0.8j
+    assert np.array_equal(array, expected)
+    assert np.array_equal(_dual_rail_array(state, (7, 3)), expected.T)
+    with pytest.raises(ValueError, match="cover every mode"):
+        _dual_rail_array(state, (3,))
+    bunched = _two_port_state({(1, 0, 1, 0): 0.6, (2, 0, 0, 0): 0.8})
+    with pytest.raises(ValueError, match="one photon per port"):
+        _dual_rail_array(bunched, (0, 1))
+    for bad, message in _BAD_STATES:
+        with pytest.raises(ValueError, match=message):
+            _dual_rail_array(bad, (0,))
 
 
 def test_statevector_matches_bell_pair():
@@ -145,14 +191,14 @@ def test_statevector_matches_bell_pair():
     source prepares, up to global phase."""
     group = StabilizerGroup.from_labels(["XX", "ZZ"])
     rebuilt = qubit_statevector_from_stabilizers(group, [0, 1])
-    assert fidelity(rebuilt, make_bell_pair(0, 1)) == pytest.approx(1.0)
+    assert fidelity(rebuilt, _dual_rail_array(make_bell_pair(0, 1), (0, 1))) == pytest.approx(1.0)
 
 
 def test_statevector_matches_edge_graph_state():
     group = StabilizerGroup.from_labels(["XZ", "ZX"])
     rebuilt = qubit_statevector_from_stabilizers(group, [0, 1])
     source = make_bell_pair(0, 1).apply_hwp_hadamard(1)
-    assert fidelity(rebuilt, source) == pytest.approx(1.0)
+    assert fidelity(rebuilt, _dual_rail_array(source, (0, 1))) == pytest.approx(1.0)
 
 
 # ----- the dual-rail builder against the two builders it replaced -----
@@ -180,11 +226,11 @@ def _reference_bell_pair(port_a, port_b) -> FockState:
     })
 
 
-def _reference_statevector_from_stabilizers(group, ports) -> FockState:
-    """The former stabilizer bridge, with its own per-qubit config loop."""
-    n = group.num_qubits
-    dim = 1 << n
-    vector = None
+def _reference_start_search(group) -> tuple[int, np.ndarray]:
+    """The former bridge's start search: project start = 0, 1, 2, ...
+    until a nonzero vector is left. Returns that start and the
+    normalized vector."""
+    dim = 1 << group.num_qubits
     for start in range(dim):
         v = np.zeros(dim, dtype=complex)
         v[start] = 1.0
@@ -192,8 +238,15 @@ def _reference_statevector_from_stabilizers(group, ports) -> FockState:
             v = (v + _apply_pauli_to_vector(g, v)) / 2
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-9:
-            vector = v / nrm
-            break
+            return start, v / nrm
+    raise AssertionError("projector annihilated every basis state")
+
+
+def _reference_statevector_from_stabilizers(group, ports) -> FockState:
+    """The former stabilizer bridge, with its own per-qubit config loop."""
+    n = group.num_qubits
+    dim = 1 << n
+    _start, vector = _reference_start_search(group)
     modes = tuple(sorted(ModeLabel(p, pol) for p in ports for pol in ("H", "V")))
     positions = []
     for q in range(n):
@@ -245,15 +298,56 @@ def test_dual_rail_builder_keeps_the_callers_order():
             [ModeLabel(p, pol) for p in ports for pol in ("H", "V")], photon_maps))
 
 
+def _random_stabilizer_group(rng: random.Random, n: int) -> StabilizerGroup:
+    """A seeded graph state with seeded Hadamards and generator signs, so
+    its support often starts far from |0...0>."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    group = graph_to_stabilizers(Graph.from_edges(n, edges))
+    for q in rng.sample(range(n), rng.randrange(n + 1)):
+        group = group.apply_hadamard(q)
+    return StabilizerGroup(n, tuple(
+        PauliString(n, g.x_bits, g.z_bits, g.phase ^ 2 * rng.randrange(2))
+        for g in group.generators))
+
+
 def test_bridge_matches_the_per_qubit_loop():
-    """Seeded graph states with seeded Hadamards, on unsorted ports."""
+    """Seeded signed graph states with seeded Hadamards, on unsorted
+    ports: the dense bridge is the former bridge's dual-rail state, read
+    in sorted port order, and its start is the former search's."""
     rng = random.Random(18)
-    for _ in range(60):
-        n = rng.randrange(1, 7)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        group = graph_to_stabilizers(Graph.from_edges(n, edges))
-        for q in rng.sample(range(n), rng.randrange(n + 1)):
-            group = group.apply_hadamard(q)
+    nonzero = 0
+    for _ in range(120):
+        n = rng.randrange(1, 11)
+        group = _random_stabilizer_group(rng, n)
         ports = rng.sample(range(40), n)
-        _same(qubit_statevector_from_stabilizers(group, ports),
-              _reference_statevector_from_stabilizers(group, ports))
+        start, _vector = _reference_start_search(group)
+        assert _lowest_support_state(group) == start
+        nonzero += start > 0
+        reference = _reference_statevector_from_stabilizers(group, ports)
+        assert np.array_equal(qubit_statevector_from_stabilizers(group, ports),
+                              _dual_rail_array(reference, sorted(ports)))
+    assert nonzero >= 30
+
+
+def test_bridge_start_is_direct_at_sixteen_qubits():
+    """-Z on every qubit fixes |1...1>, the last of 2**16 basis states, which
+    the former start search reached after 65535 empty projections."""
+    n = MAX_DENSE_QUBITS
+    group = StabilizerGroup(n, tuple(PauliString(n, 0, 1 << q, 2) for q in range(n)))
+    assert _lowest_support_state(group) == (1 << n) - 1
+    state = qubit_statevector_from_stabilizers(group)
+    expected = np.zeros((2,) * n, dtype=complex)
+    expected[(1,) * n] = 1.0
+    assert np.array_equal(state, expected)
+
+
+def test_bridge_cap_is_checked_before_anything_is_built(monkeypatch):
+    n = MAX_DENSE_QUBITS + 1
+    group = StabilizerGroup(n, tuple(PauliString(n, 0, 1 << q) for q in range(n)))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(ValueError, match=f"capped at {MAX_DENSE_QUBITS} qubits"):
+        qubit_statevector_from_stabilizers(group)

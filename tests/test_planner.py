@@ -5,11 +5,14 @@ import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from pbsgraph import planner
 from pbsgraph.fock import (
+    MAX_DENSE_QUBITS,
     FockState,
+    _dual_rail_array,
     fidelity,
     make_bell_pair,
     qubit_statevector_from_stabilizers,
@@ -375,8 +378,8 @@ def test_stabilizer_search_matches_object_reference():
     schedules: seeded relabellings of net6 with intra gates, every
     labelled 4-vertex graph under the three other flag combinations,
     K3,3 with Hadamards, a perfect matching with Hadamards, and seeded
-    random 6-vertex graphs with intra gates; then net6 and star-4 with
-    intra gates under every gate cap from 0 to 5."""
+    random 6-vertex graphs with intra gates at a 3-gate cap; then net6 and
+    star-4 with intra gates under every gate cap from 0 to 5."""
     rng = random.Random(6)
     cases = []
     for _ in range(3):
@@ -387,10 +390,13 @@ def test_stabilizer_search_matches_object_reference():
         cases += [(graph, intra, hadamard) for graph in _labelled_graphs(4)]
     cases.append((K33, False, True))
     cases.append((Graph.from_edges(6, [(0, 5), (1, 4), (2, 3)]), False, True))
-    pairs = list(itertools.combinations(range(6), 2))
-    cases += [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), True, False)
-              for _ in range(2)]
     assert _assert_same_schedules(cases) == 3 + 3 * 7 + 1 + 1
+    # Both are unreachable, and the object-level reference expands every
+    # state to the cap, so they run at 3 gates, not the default.
+    pairs = list(itertools.combinations(range(6), 2))
+    random6 = [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), True, False)
+               for _ in range(2)]
+    assert _assert_same_schedules(random6, 3) == 0
     found = [_assert_same_schedules([(NET6, True, False), (STAR4, True, False)], cap)
              for cap in range(6)]
     assert found == [0, 1, 1, 2, 2, 2]
@@ -825,9 +831,32 @@ def test_execute_schedule_validates_its_result(monkeypatch):
         execute_schedule(Schedule((CreatePair(0, 1), CreatePair(2, 3), PbsGate(1, 2))))
 
 
+def _reference_execute_schedule_fock(sched: Schedule) -> tuple[float, FockState | None]:
+    """The former execute_schedule_fock: the whole schedule on FockState's
+    sparse occupation dict, every mode operation on every state."""
+    state: FockState | None = None
+    prob = 1.0
+    for ins in sched.instructions:
+        if isinstance(ins, CreatePair):
+            pair = make_bell_pair(ins.q_a, ins.q_b).apply_hwp_hadamard(ins.q_b)
+            state = pair if state is None else tensor(state, pair)
+        elif isinstance(ins, PbsGate):
+            assert state is not None
+            state = state.apply_pbs(ins.i1, ins.i2)
+            gate_prob, kept = state.postselect_single_photon([ins.i1, ins.i2])
+            if kept is None:
+                return 0.0, None
+            prob *= gate_prob
+            state = kept.apply_hwp_hadamard(ins.i2)
+        elif isinstance(ins, Hadamard):
+            assert state is not None
+            state = state.apply_hwp_hadamard(ins.q)
+    return prob, None if state is None else state.validate()
+
+
 def _replay_fock_validating(sched: Schedule) -> tuple[float, FockState | None]:
-    """execute_schedule_fock step by step with the public mode ops,
-    validating every intermediate state."""
+    """_reference_execute_schedule_fock step by step with the public mode
+    ops, validating every intermediate state."""
     state = None
     prob = 1.0
     for ins in sched.instructions:
@@ -847,14 +876,15 @@ def _replay_fock_validating(sched: Schedule) -> tuple[float, FockState | None]:
 
 
 def test_unchecked_fock_execution_matches_validated_replay():
-    """execute_schedule_fock validates only its result; replaying the same
-    random mixed schedules with validate() on every intermediate state
-    gives the same probability and the same amplitudes, in order."""
+    """The mode operations do not validate their results; running random
+    mixed schedules on them unchecked (the dict reference) and with
+    validate() on every intermediate state gives the same probability and
+    the same amplitudes, in order."""
     rng = random.Random(3)
     with_intra = with_hadamard = impossible = 0
     for _ in range(150):
         sched, intra = _random_mixed_schedule(rng)
-        prob, state = execute_schedule_fock(sched)
+        prob, state = _reference_execute_schedule_fock(sched)
         replay_prob, replay_state = _replay_fock_validating(sched)
         assert prob == replay_prob
         if state is None:
@@ -868,10 +898,66 @@ def test_unchecked_fock_execution_matches_validated_replay():
     assert with_intra >= 50 and with_hadamard >= 50 and impossible >= 3
 
 
+def _assert_dense_matches_reference(sched: Schedule, exact_prob: bool) -> float:
+    """execute_schedule_fock against the dict reference: the dense array
+    is the reference state read in sorted id order, to 1e-12 per
+    amplitude, and the probabilities are equal (exact_prob) or within a
+    relative 1e-12. Returns the probability."""
+    prob, state = execute_schedule_fock(sched)
+    ref_prob, ref_state = _reference_execute_schedule_fock(sched)
+    if exact_prob:
+        assert prob == ref_prob
+    else:
+        assert prob == pytest.approx(ref_prob, rel=1e-12, abs=0.0)
+    if ref_state is None:
+        assert state is None
+    else:
+        expected = _dual_rail_array(ref_state, sched.qubit_ids())
+        assert state.shape == expected.shape
+        assert np.max(np.abs(state - expected)) <= 1e-12
+    return prob
+
+
+def test_dense_fock_execution_matches_dict_reference():
+    """Criterion 07's random inter/intra schedules (up to 8 qubits, pairs in
+    id order) give exactly the reference's probabilities; the mixed
+    schedules above (up to 12 qubits, shuffled ids, pairs created between
+    gates, bare Hadamards, impossible gates) sum their probabilities in
+    another order, so those agree to a relative 1e-12."""
+    from test_acceptance import _random_schedule
+
+    rng = random.Random(707)
+    for _ in range(200):
+        _assert_dense_matches_reference(_random_schedule(rng)[0], exact_prob=True)
+    rng = random.Random(4)
+    impossible = with_hadamard = 0
+    for _ in range(150):
+        sched, _intra = _random_mixed_schedule(rng)
+        impossible += _assert_dense_matches_reference(sched, exact_prob=False) == 0.0
+        with_hadamard += any(isinstance(ins, Hadamard) for ins in sched.instructions)
+    assert impossible >= 3 and with_hadamard >= 50
+
+
+def test_dense_fock_execution_refuses_past_its_cap(monkeypatch):
+    """More than MAX_DENSE_QUBITS qubits is refused before any map or array
+    is built."""
+    import pbsgraph.planner as planner_module
+
+    def no_maps():
+        raise AssertionError("built maps past the cap")
+
+    monkeypatch.setattr(planner_module, "_fock_maps", no_maps)
+    sched = plan_tree_protocol(4)  # 32 qubits
+    with pytest.raises(ValueError, match=f"capped at {MAX_DENSE_QUBITS} qubits, got 32"):
+        execute_schedule_fock(sched)
+
+
 def test_execute_schedule_fock_validates_its_result(monkeypatch):
     """Mode operations are not re-checked, but a corrupted state cannot
-    leave. The corruption lists the modes in reverse: the same physical
-    state, which every later mode operation accepts."""
+    leave the Fock layer: the gate map is read from the derived state by
+    _dual_rail_array, which validates it. The corruption lists the modes
+    in reverse: the same physical state, which every later mode
+    operation accepts."""
     apply_pbs = FockState.apply_pbs
 
     def corrupt(state, port_a, port_b):
