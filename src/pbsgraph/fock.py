@@ -221,16 +221,13 @@ def tensor(a: FockState, b: FockState) -> FockState:
 # ===== stabilizer bridge =====
 
 
-def _apply_pauli_to_vector(pauli, vector: np.ndarray) -> np.ndarray:
-    """p|b> = i**(phase + #Y) * (-1)^{popcount(b & z)} |b xor x>."""
-    n = pauli.num_qubits
-    dim = 1 << n
-    indices = np.arange(dim)
-    signs = 1 - 2 * (np.bitwise_count(indices & pauli.z_bits).astype(np.int64) & 1)
+def _apply_pauli_to_vector(pauli, vector: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """p|b> = i**(phase + #Y) * (-1)^{popcount(b & z)} |b xor x>, with
+    indices the basis indices np.arange(len(vector)): entry c of the
+    result is the term of b = c xor x."""
+    signs = 1.0 - 2.0 * (np.bitwise_count(indices & pauli.z_bits) & 1)
     factor = 1j ** ((pauli.phase + (pauli.x_bits & pauli.z_bits).bit_count()) % 4)
-    out = np.zeros(dim, dtype=complex)
-    out[indices ^ pauli.x_bits] = factor * signs * vector
-    return out
+    return (factor * signs * vector)[indices ^ pauli.x_bits]
 
 
 def _norm_squared(array: np.ndarray) -> float:
@@ -280,8 +277,9 @@ def qubit_statevector_from_stabilizers(
         raise ValueError("need one distinct port per qubit")
     vector = np.zeros(1 << n, dtype=complex)
     vector[_lowest_support_state(group)] = 1.0
+    indices = np.arange(1 << n)
     for g in group.generators:
-        vector = (vector + _apply_pauli_to_vector(g, vector)) / 2
+        vector = (vector + _apply_pauli_to_vector(g, vector, indices)) / 2
     nrm = math.sqrt(_norm_squared(vector))
     if nrm <= 1e-9:
         raise AssertionError("projector annihilated the lowest support state")

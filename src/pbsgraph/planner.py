@@ -9,8 +9,9 @@ is the independent oracle: a breadth-first sweep over all schedules on
 at most eight qubits, either on labeled forests held as adjacency masks
 (inter-graph gates only) or on stabilizer groups held as tuples of
 canonical packed rows (when intra-graph gates or extra Hadamards are
-allowed). Both are goal-directed without changing which schedule they
-find: the forest search keeps only forests that a backward walk from
+allowed; a gate across the components of a graph-form state takes the
+join rule there too). Both are goal-directed without changing which
+schedule they find: the forest search keeps only forests that a backward walk from
 the target reaches, and the stabilizer search tries on each new state,
 as soon as it is found, only the steps that can finish the target, so
 its last expansion stops at the first state that finishes. That scan
@@ -469,7 +470,9 @@ def brute_force_schedule_search(
     breadth-first search over stabilizer groups, each keyed by its
     canonical packed rows (pauli's row kernels); each new state is first
     tried with only the gates onto the target's leaves and the Hadamards,
-    since no other step can finish a graph state. Neither pruning changes the
+    since no other step can finish a graph state. A gate across two
+    components of a state in graph form is built by the join rule, which
+    gives the same key as the tableau. Neither pruning changes the
     schedule found. Returns a minimum-gate-count schedule, or None if none
     exists within max_gates (default: one gate beyond the tree-building
     minimum). max_gates may be any non-negative int: the search also
@@ -615,6 +618,23 @@ def _reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...
     return reaching
 
 
+def _outside_masks(adj: tuple[int, ...], n: int) -> list[int]:
+    """For each vertex, the mask of the vertices outside its component."""
+    everyone = (1 << n) - 1
+    outside = [0] * n
+    for comp in component_masks(adj, everyone):
+        for v in bits(comp):
+            outside[v] = everyone & ~comp
+    return outside
+
+
+def _graph_rows(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The canonical packed rows of the graph state on adj: row i is
+    +X_i Z^adj[i]. Its only X bit is its pivot and no row has a sign, so
+    the rows are already fully reduced."""
+    return tuple(1 << i | a << n for i, a in enumerate(adj))
+
+
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     """Search over labeled forests, each keyed by its adjacency masks,
     forward from the pairs and only through forests that can still reach
@@ -629,16 +649,12 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
         return None
     # Prebuilt gates: building one per successor costs about half a join.
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
-    everyone = (1 << n) - 1
     reaching = _reaching(target.adj, n, depth_needed)
 
     def expand(adj: tuple[int, ...]):
         if adj not in reaching:
             return
-        outside = [0] * n
-        for comp in component_masks(adj, everyone):
-            for v in bits(comp):
-                outside[v] = everyone & ~comp
+        outside = _outside_masks(adj, n)
         for i1 in range(n):
             for i2 in bits(outside[i1]):
                 joined = join_adjacency(adj, i1, i2)
@@ -677,11 +693,19 @@ def _search_stabilizer(
     -Z_i1 Z_i2 has no anticommuting row and fails, as the gate is
     impossible. A Hadamard on q finishes iff S is H_q(goal): one lookup
     gives every such q, lowest first (two q can share H_q(goal), as the
-    ends of a lone edge do)."""
+    ends of a lone edge do).
+
+    expand builds a gate across two components of a key in graph form
+    (row i is +X_i times Z on i's neighbours) by the join rule, as
+    pbs_join_graphs does: the gate succeeds with probability 1/2 and
+    leaves the graph state of join_adjacency, whose rows are already
+    fully reduced, so its key is the tableau's and no schedule changes.
+    Every other step runs on the tableau."""
     n = target.num_vertices
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     hadamards = [Hadamard(q) for q in range(n)]
+    everyone = (1 << n) - 1
 
     goal = _canonical_rows_of(graph_to_stabilizers(target))
     every_gate = [(i1, i2) for i1 in range(n) for i2 in range(n) if i1 != i2]
@@ -712,13 +736,21 @@ def _search_stabilizer(
 
     def expand(key: tuple):
         rows, parts = key
+        # graph form iff rows are the graph rows of adj, masked to
+        # drop a diagonal Z bit and the sign
+        adj = tuple(row >> n & everyone & ~(1 << i) for i, row in enumerate(rows))
+        outside = _outside_masks(adj, n) if _graph_rows(adj, n) == rows else [0] * n
         for i1, i2 in every_gate:
             if track_parts and parts[i1] >> i2 & 1:
                 continue
-            _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
-            if measured is not None:
+            if outside[i1] >> i2 & 1:
+                new_rows = _graph_rows(join_adjacency(adj, i1, i2), n)
+            else:
+                _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+                if measured is None:
+                    continue
                 new_rows = _canonical_rows(_hadamard_rows(measured, n, i2), n)
-                yield gates[i1][i2], (new_rows, merged(parts, i1, i2))
+            yield gates[i1][i2], (new_rows, merged(parts, i1, i2))
         if allow_hadamard:
             for q in range(n):
                 yield hadamards[q], (_canonical_rows(_hadamard_rows(rows, n, q), n), parts)

@@ -12,6 +12,7 @@ from pbsgraph.fock import (
     FockState,
     ModeLabel,
     _apply_pauli_to_vector,
+    _norm_squared,
     _dual_rail,
     _dual_rail_array,
     _lowest_support_state,
@@ -226,6 +227,19 @@ def _reference_bell_pair(port_a, port_b) -> FockState:
     })
 
 
+def _reference_apply_pauli_to_vector(pauli, vector: np.ndarray) -> np.ndarray:
+    """The former Pauli action, building its index and sign arrays for
+    every generator: p|b> = i**(phase + #Y) * (-1)^{popcount(b & z)} |b xor x>."""
+    n = pauli.num_qubits
+    dim = 1 << n
+    indices = np.arange(dim)
+    signs = 1 - 2 * (np.bitwise_count(indices & pauli.z_bits).astype(np.int64) & 1)
+    factor = 1j ** ((pauli.phase + (pauli.x_bits & pauli.z_bits).bit_count()) % 4)
+    out = np.zeros(dim, dtype=complex)
+    out[indices ^ pauli.x_bits] = factor * signs * vector
+    return out
+
+
 def _reference_start_search(group) -> tuple[int, np.ndarray]:
     """The former bridge's start search: project start = 0, 1, 2, ...
     until a nonzero vector is left. Returns that start and the
@@ -235,7 +249,7 @@ def _reference_start_search(group) -> tuple[int, np.ndarray]:
         v = np.zeros(dim, dtype=complex)
         v[start] = 1.0
         for g in group.generators:
-            v = (v + _apply_pauli_to_vector(g, v)) / 2
+            v = (v + _reference_apply_pauli_to_vector(g, v)) / 2
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-9:
             return start, v / nrm
@@ -327,6 +341,39 @@ def test_bridge_matches_the_per_qubit_loop():
         assert np.array_equal(qubit_statevector_from_stabilizers(group, ports),
                               _dual_rail_array(reference, sorted(ports)))
     assert nonzero >= 30
+
+
+def _reference_bridge(group: StabilizerGroup, ports) -> np.ndarray:
+    """The bridge with the former per-generator Pauli action."""
+    n = group.num_qubits
+    vector = np.zeros(1 << n, dtype=complex)
+    vector[_lowest_support_state(group)] = 1.0
+    for g in group.generators:
+        vector = (vector + _reference_apply_pauli_to_vector(g, vector)) / 2
+    vector /= math.sqrt(_norm_squared(vector))
+    by_port = sorted(range(n), key=lambda q: ports[q])
+    return vector.reshape((2,) * n).transpose([n - 1 - q for q in by_port])
+
+
+def test_bridge_matches_the_per_generator_pauli_action():
+    """The bridge builds its index array once per call; on seeded signed
+    graph states with Hadamards at 8 and 12 qubits, on unsorted ports, it
+    gives the former per-generator action's array exactly, and so does
+    each generator, and each seeded Pauli with Y letters and any phase,
+    applied to a seeded vector."""
+    rng = random.Random(36)
+    for n in (8, 8, 8, 12, 12):
+        group = _random_stabilizer_group(rng, n)
+        ports = rng.sample(range(40), n)
+        assert np.array_equal(qubit_statevector_from_stabilizers(group, ports),
+                              _reference_bridge(group, ports))
+        indices = np.arange(1 << n)
+        vector = rng.random() * np.exp(2j * np.pi * np.arange(1 << n) / (1 << n))
+        paulis = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
+                  for _ in range(n)]
+        for g in group.generators + tuple(paulis):
+            assert np.array_equal(_apply_pauli_to_vector(g, vector, indices),
+                                  _reference_apply_pauli_to_vector(g, vector))
 
 
 def test_bridge_start_is_direct_at_sixteen_qubits():

@@ -33,10 +33,12 @@ from pbsgraph.pauli import (
     _canonical_rows,
     _canonical_rows_of,
     _hadamard_rows,
+    _unpack,
     _zz_postselect_rows,
 )
 from pbsgraph.planner import (
     _breadth_first,
+    _graph_rows,
     _matchings,
     _pre_images,
     _reaching,
@@ -579,6 +581,12 @@ def test_leafless_targets_make_no_gate_attempt(monkeypatch):
     assert 0 < len(attempts) < 5514 // 2
 
 
+def _merged(parts: tuple[int, ...], i1: int, i2: int) -> tuple[int, ...]:
+    """Cluster masks after a gate joins the clusters of i1 and i2."""
+    joined = parts[i1] | parts[i2]
+    return tuple(joined if joined >> q & 1 else p for q, p in enumerate(parts))
+
+
 def _reference_finish(target: Graph, allow_intra: bool, allow_hadamard: bool):
     """The stabilizer engine's finishing scan as construct and compare:
     build the successor of each gate onto a target leaf, then of each
@@ -596,10 +604,7 @@ def _reference_finish(target: Graph, allow_intra: bool, allow_hadamard: bool):
             _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
             if measured is None:
                 continue
-            new_parts = parts
-            if not allow_intra:
-                merged = parts[i1] | parts[i2]
-                new_parts = tuple(merged if merged >> q & 1 else p for q, p in enumerate(parts))
+            new_parts = parts if allow_intra else _merged(parts, i1, i2)
             if _canonical_rows(_hadamard_rows(measured, n, i2), n) == goal:
                 yield PbsGate(i1, i2), (goal, new_parts)
         if allow_hadamard:
@@ -709,6 +714,163 @@ def test_membership_finish_matches_construct_and_compare(monkeypatch):
     steps = list(finish(key))
     assert steps == list(_reference_finish(target, False, True)(key))
     assert steps == [(Hadamard(4), (goal, key[1])), (Hadamard(5), (goal, key[1]))]
+
+
+# ----- the join path: graph-form keys joined across components without
+# the tableau -----
+
+
+def test_graph_rows_are_the_canonical_rows_of_a_graph_state():
+    """A graph state's rows are already fully reduced, so its canonical
+    rows are _graph_rows of its adjacency: on every labelled 4- and
+    5-vertex graph and on seeded 8-vertex graphs."""
+    rng = random.Random(18)
+    pairs = list(itertools.combinations(range(8), 2))
+    graphs = list(_labelled_graphs(4)) + list(_labelled_graphs(5))
+    graphs += [Graph.from_edges(8, [e for e in pairs if rng.random() < p])
+               for p in (0.2, 0.4, 0.6) for _ in range(40)]
+    for graph in graphs:
+        n = graph.num_vertices
+        assert _canonical_rows_of(graph_to_stabilizers(graph)) == _graph_rows(graph.adj, n)
+
+
+def test_join_rows_match_the_tableau_across_components():
+    """On every labelled 4- and 5-vertex graph, a gate between two
+    components is possible with probability 1/2, and the tableau leaves
+    the graph rows of join_adjacency."""
+    joins = 0
+    for n in (4, 5):
+        for graph in _labelled_graphs(n):
+            rows = _graph_rows(graph.adj, n)
+            for i1, i2 in itertools.permutations(range(n), 2):
+                if not _separated(graph.adj, i1, i2):
+                    continue
+                prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+                assert prob == 0.5 and measured is not None
+                assert (_graph_rows(join_adjacency(graph.adj, i1, i2), n)
+                        == _canonical_rows(_hadamard_rows(measured, n, i2), n))
+                joins += 1
+    assert joins == 192 + 3000  # ordered pairs across components, summed over graphs
+
+
+def _reference_expand(target: Graph, allow_intra: bool, allow_hadamard: bool):
+    """The stabilizer engine's expand with every gate on the tableau."""
+    n = target.num_vertices
+
+    def expand(key):
+        rows, parts = key
+        for i1, i2 in itertools.permutations(range(n), 2):
+            if not allow_intra and parts[i1] >> i2 & 1:
+                continue
+            _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
+            if measured is not None:
+                new_parts = parts if allow_intra else _merged(parts, i1, i2)
+                yield PbsGate(i1, i2), (_canonical_rows(_hadamard_rows(measured, n, i2), n),
+                                        new_parts)
+        if allow_hadamard:
+            for q in range(n):
+                yield Hadamard(q), (_canonical_rows(_hadamard_rows(rows, n, q), n), parts)
+
+    return expand
+
+
+def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
+                        allow_hadamard: bool) -> dict[str, int]:
+    """Run the stabilizer search on target with every expand(key) compared
+    to _reference_expand step for step, and with the joins it makes per
+    key compared to the gates across the components of key's graph, read
+    by stabilizers_to_graph (none when the key is not in graph form).
+    Returns the counts of keys expanded, keys in graph form, joins, and
+    keys whose expansion or joins differ."""
+    n = target.num_vertices
+    reference = _reference_expand(target, allow_intra, allow_hadamard)
+    counts = {"expanded": 0, "graph form": 0, "joins": 0, "mismatched": 0}
+    joined = []
+    breadth_first = planner._breadth_first
+    join = planner.join_adjacency
+
+    def counting_join(adj, i1, i2):
+        joined.append((i1, i2))
+        return join(adj, i1, i2)
+
+    def recording(target, start, expand, is_goal, max_gates, finish=None):
+        def checked(key):
+            joined.clear()
+            steps = list(expand(key))
+            rows, parts = key
+            graph = stabilizers_to_graph(StabilizerGroup(n, tuple(_unpack(row, n) for row in rows)))
+            expected = []
+            if graph is not None:
+                counts["graph form"] += 1
+                expected = [(i1, i2) for i1, i2 in itertools.permutations(range(n), 2)
+                            if _separated(graph.adj, i1, i2)
+                            and (allow_intra or not parts[i1] >> i2 & 1)]
+            counts["expanded"] += 1
+            counts["joins"] += len(joined)
+            counts["mismatched"] += steps != list(reference(key)) or joined != expected
+            return steps
+
+        return breadth_first(target, start, checked, is_goal, max_gates, finish)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_breadth_first", recording)
+        patch.setattr(planner, "join_adjacency", counting_join)
+        brute_force_schedule_search(target, allow_intra=allow_intra,
+                                    allow_hadamard=allow_hadamard)
+    return counts
+
+
+def test_join_path_matches_the_tableau_expansion(monkeypatch):
+    """The engine's expand builds the successors of a graph-form key
+    across its components by the join rule, and yields what the tableau
+    yields for every key that the searches of net6, star-4 and the square
+    with a pendant on each corner expand under --allow-intra, and K3,3
+    and path-4 under --allow-hadamard (cluster masks tracked). Star-4
+    finishes from a root, so it expands no key."""
+    square = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+    expanded = []
+    for target, intra, hadamard, graph_form, joins in (
+        (NET6, True, False, 16, 376), (STAR4, True, False, 0, 0),
+        (square, True, False, 1447, 51328), (K33, False, True, 136, 1320),
+        (PATH4, False, True, 7, 24),
+    ):
+        counts = _checked_expansions(monkeypatch, target, intra, hadamard)
+        assert counts["mismatched"] == 0, (target.sorted_edges(), counts)
+        assert (counts["graph form"], counts["joins"]) == (graph_form, joins)
+        expanded.append(counts["expanded"])
+    assert expanded == [17, 0, 2725, 217, 13]
+
+
+def test_join_path_mutations_are_caught(monkeypatch):
+    """The expansion check has teeth: joining within a component, or
+    joining i2 onto i1 instead of i1 onto i2, is flagged on net6."""
+    def everything_outside(adj, n):
+        return [(1 << n) - 1 & ~(1 << v) for v in range(n)]
+
+    join = planner.join_adjacency
+    for name, mutant in (("_outside_masks", everything_outside),
+                         ("join_adjacency", lambda adj, i1, i2: join(adj, i2, i1))):
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, name, mutant)
+            counts = _checked_expansions(patch, NET6, True, False)
+        assert counts["mismatched"] > 0, name
+
+
+def test_graph_form_keys_make_no_tableau_gate_attempt(monkeypatch):
+    """net6 under --allow-intra tries 126 gates on the tableau, against
+    489 before gates across the components of graph-form keys took the
+    join rule: those are only the gates within a component and the gates
+    from keys not in graph form."""
+    attempts = []
+    postselect = planner._zz_postselect_rows
+
+    def counting(*args):
+        attempts.append(args[2:])
+        return postselect(*args)
+
+    monkeypatch.setattr(planner, "_zz_postselect_rows", counting)
+    assert brute_force_schedule_search(NET6, allow_intra=True).gate_count() == 3
+    assert len(attempts) == 126
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
