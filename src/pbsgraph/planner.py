@@ -10,15 +10,19 @@ at most eight qubits, either on labeled forests held as adjacency masks
 (inter-graph gates only) or on stabilizer groups held as tuples of
 canonical packed rows (when intra-graph gates or extra Hadamards are
 allowed; a gate across the components of a graph-form state takes the
-join rule there too). Both are goal-directed without changing which
-schedule they find: the forest search keeps only forests that a backward walk from
-the target reaches, and the stabilizer search tries on each new state,
-as soon as it is found, only the steps that can finish the target, so
-its last expansion stops at the first state that finishes. That scan
-builds no successor: it tests whether the step's result is the goal by
-stabilizer membership, row by row. Both keep bare ints as search
-states; the StabilizerGroup methods that execute_schedule uses stay the
-reference for the packed kernels.
+join rule there too). Each engine builds its roots, the Bell pairs on
+each perfect matching, straight from the matching as masks or graph
+rows. Both are goal-directed without changing which schedule they find:
+the forest search starts from and keeps only forests that a backward
+walk from the target reaches, and the stabilizer search tries on each
+new state, as soon as it is found, only the steps that can finish the
+target, so its last expansion stops at the first state that finishes.
+That scan builds no successor: it tests whether the step's result is
+the goal by stabilizer membership, row by row, and it is skipped on
+states with too few gates to finish: a target with k components takes
+at least n/2 - k gates, one more for a cycle without bare Hadamards.
+Both keep bare ints as search states; the StabilizerGroup methods that
+execute_schedule uses stay the reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -464,20 +468,22 @@ def brute_force_schedule_search(
     with gates on other qubits), so the search runs over gate sequences
     from every perfect matching of the target's vertices. With only
     inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; the search keeps only forests from which the
-    target can still be reached, found by inverting the join from the
-    target back. Allowing intra-graph gates or bare Hadamards switches to
+    rewrite rule applies; the search starts from and keeps only forests
+    from which the target can still be reached, found by inverting the
+    join from the target back, so an unreachable tree ends before any
+    expansion. Allowing intra-graph gates or bare Hadamards switches to
     breadth-first search over stabilizer groups, each keyed by its
     canonical packed rows (pauli's row kernels); each new state is first
     tried with only the gates onto the target's leaves and the Hadamards,
-    since no other step can finish a graph state. A gate across two
-    components of a state in graph form is built by the join rule, which
-    gives the same key as the tableau. Neither pruning changes the
-    schedule found. Returns a minimum-gate-count schedule, or None if none
-    exists within max_gates (default: one gate beyond the tree-building
-    minimum). max_gates may be any non-negative int: the search also
-    ends at the first depth that reaches no new state. A negative
-    max_gates raises ValueError.
+    since no other step can finish a graph state, and only once it has
+    enough gates that one more step can reach the target's gate-count
+    lower bound. A gate across two components of a state in graph form is
+    built by the join rule, which gives the same key as the tableau. None
+    of the pruning changes the schedule found. Returns a minimum-gate-count
+    schedule, or None if none exists within max_gates (default: one gate
+    beyond the tree-building minimum). max_gates may be any non-negative
+    int: the search also ends at the first depth that reaches no new
+    state. A negative max_gates raises ValueError.
     """
     n = target.num_vertices
     if n > max_qubits:
@@ -509,16 +515,18 @@ def _matchings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, partner)] + sub
 
 
-def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
-                   finish=None) -> Schedule | None:
+def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
+                   finish=None, min_gates: int = 0) -> Schedule | None:
     """Breadth-first search shared by both engines.
 
-    The roots are the perfect matchings of the target's vertices, and
-    start(matching) gives a root's key; expand(key) yields (gate, key)
-    for each successor in a fixed order, so ties always break the same
-    way. A key is visited once, and the first key that satisfies is_goal
-    is reached by a schedule with the fewest gates. The search ends at
-    max_gates gates or as soon as a depth finds no new key.
+    roots yields (matching, key) for the perfect matchings of the
+    target's vertices that the engine starts from, each key the state of
+    the Bell pairs on that matching; an engine may leave out a root that
+    cannot lead to the goal. expand(key) yields (gate, key) for each
+    successor in a fixed order, so ties always break the same way. A key
+    is visited once, and the first key that satisfies is_goal is reached
+    by a schedule with the fewest gates. The search ends at max_gates
+    gates or as soon as a depth finds no new key.
 
     finish(key), when given, yields (step, goal key) for exactly the
     successors of expand(key) that satisfy is_goal, in expand's order,
@@ -528,9 +536,12 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
     and no key at max_gates - 1 gates is expanded. The keys are scanned in
     frontier order, and a full expansion of a scanned key reaches no goal
     first, so the goal found and its schedule are the same; the last
-    expansion just stops at the first key that finishes.
+    expansion just stops at the first key that finishes. min_gates is a
+    lower bound on the steps of any schedule that reaches the goal, so a
+    key at d steps is scanned only when d + 1 >= min_gates: from fewer,
+    one more step cannot reach the goal, and the scans skipped would find
+    nothing. is_goal still checks every key.
     """
-    roots = ((m, start(m)) for m in _matchings(list(range(target.num_vertices))))
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
 
     def reconstruct(key) -> Schedule:
@@ -551,7 +562,7 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
 
     frontier = [None]  # a virtual root whose successors are the roots
     for depth in range(max_gates + 1):
-        scan = finish is not None and depth > 0
+        scan = finish is not None and depth > 0 and depth + 1 >= min_gates
         next_frontier = []
         for key in frontier:
             for step, new_key in roots if key is None else expand(key):
@@ -566,12 +577,12 @@ def _breadth_first(target: Graph, start, expand, is_goal, max_gates: int,
         if not next_frontier:
             return None
         if finish is not None:
-            if depth == 0 and max_gates:
+            if depth == 0 and max_gates and min_gates <= 1:
                 for key in next_frontier:
                     if (goal := finished(key)) is not None:
                         return reconstruct(goal)
             if depth + 1 == max_gates:
-                return None  # each key of this depth was scanned for the last gate
+                return None  # no key of this depth finishes with one more gate
         frontier = next_frontier
     return None
 
@@ -635,6 +646,14 @@ def _graph_rows(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(1 << i | a << n for i, a in enumerate(adj))
 
 
+def _pair_adjacency(matching: list[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """The adjacency masks of the Bell pairs on a perfect matching."""
+    adj = [0] * n
+    for a, b in matching:
+        adj[a], adj[b] = 1 << b, 1 << a
+    return tuple(adj)
+
+
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     """Search over labeled forests, each keyed by its adjacency masks,
     forward from the pairs and only through forests that can still reach
@@ -661,10 +680,9 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
                 if joined in reaching:
                     yield gates[i1][i2], joined
 
-    def start(matching: list[tuple[int, int]]) -> tuple[int, ...]:
-        return Graph.from_edges(n, matching).adj
-
-    return _breadth_first(target, start, expand, target.adj.__eq__, depth_needed)
+    roots = ((m, adj) for m in _matchings(list(range(n)))
+             if (adj := _pair_adjacency(m, n)) in reaching)
+    return _breadth_first(target, roots, expand, target.adj.__eq__, depth_needed)
 
 
 def _search_stabilizer(
@@ -695,6 +713,22 @@ def _search_stabilizer(
     gives every such q, lowest first (two q can share H_q(goal), as the
     ends of a lone edge do).
 
+    The scan runs only on states with at least min_gates - 1 steps, where
+    min_gates lower-bounds the gates of any schedule that builds the
+    target. The n/2 pairs start as n/2 interaction clusters, and a gate
+    acts on two qubits, so it merges at most two clusters. Each connected
+    component of a graph state is entangled across every cut, so it lies
+    in one cluster, and a target with k components leaves at most k
+    clusters: it takes at least n/2 - k gates. With exactly n/2 - k, every
+    gate merges two clusters. Without Hadamards every state then stays in
+    graph form with its clusters as components, so every gate is a join
+    and the result is a forest: a target with a cycle needs one gate
+    more. Steps count Hadamards too, so the steps bound the gates from
+    above and the skipped scans could not have finished.
+
+    The roots are keyed by the graph rows of the pairs, with the pairs as
+    the starting cluster masks.
+
     expand builds a gate across two components of a key in graph form
     (row i is +X_i times Z on i's neighbours) by the join rule, as
     pbs_join_graphs does: the gate succeeds with probability 1/2 and
@@ -722,11 +756,6 @@ def _search_stabilizer(
             hadamard_finish.setdefault(before, []).append(hadamards[q])
     if not finishing and not allow_hadamard:
         max_gates = 0
-
-    def start(matching: list[tuple[int, int]]) -> tuple:
-        pairs = Graph.from_edges(n, matching)
-        parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
-        return _canonical_rows_of(graph_to_stabilizers(pairs)), parts
 
     def merged(parts: tuple[int, ...], i1: int, i2: int) -> tuple[int, ...]:
         if not track_parts:
@@ -779,7 +808,18 @@ def _search_stabilizer(
         for step in hadamard_finish.get(rows, ()):
             yield step, (goal, parts)
 
-    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates, finish)
+    def roots():
+        for m in _matchings(list(range(n))):
+            adj = _pair_adjacency(m, n)
+            parts = tuple(a | 1 << q for q, a in enumerate(adj)) if track_parts else ()
+            yield m, (_graph_rows(adj, n), parts)
+
+    k = len(component_masks(target.adj, everyone))  # min_gates: see the docstring
+    min_gates = n // 2 - k
+    if not allow_hadamard and sum(map(int.bit_count, target.adj)) != 2 * (n - k):
+        min_gates += 1  # a cycle
+    return _breadth_first(target, roots(), expand, lambda key: key[0] == goal, max_gates,
+                          finish, min_gates)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ schedule text (or None) that brute_force_schedule_search returns, or,
 for a CLI record, the exit code, stdout and stderr of `plan --brute-force`
 and of `verify --oracle` on its schedule, and the schedule file. Run one
 copy of it against the src of each of two commits and compare the
-outputs; a planner change that keeps every schedule prints the same 1778
+outputs; a planner change that keeps every schedule prints the same 1787
 lines:
 
     PYTHONPATH=src python3 tests/schedule_sweep.py > change.txt
@@ -42,6 +42,9 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
 # the square with a pendant on each corner
 SQUARE = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+# two disjoint triangles, and a 6-vertex forest of a star and an edge
+TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+FOREST2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
 FLAGS = {(False, False): "", (True, False): " --allow-intra",
          (False, True): " --allow-hadamard", (True, True): " --allow-intra --allow-hadamard"}
 
@@ -74,7 +77,7 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
 
 
 def search_cases():
-    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1586
+    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1595
     search records."""
     rng = random.Random(1778)
     for n in range(2, 9):
@@ -109,6 +112,13 @@ def search_cases():
         yield "random", _random_graph(rng, 6), False, True, None
     yield "matching", Graph.from_edges(6, [(0, 5), (1, 4), (2, 3)]), False, True, None
     yield "square with pendants", SQUARE, True, False, None
+    # the gate-count bound tight, or targets of more than one component
+    yield "square with pendants", SQUARE, True, False, 4
+    yield "two triangles", TRIANGLES, True, False, None
+    for cap in (None, 0, 1, 2):
+        yield "two-component forest", FOREST2, True, False, cap
+    for cap in (None, 2, 3):
+        yield "net6", NET6, True, True, cap
 
 
 def main() -> int:

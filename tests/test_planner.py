@@ -265,6 +265,27 @@ def test_k33_needs_bare_hadamards():
 # forest search that tries every join at every depth -----
 
 
+def _reference_roots(n: int, start):
+    """Every root (matching, start(matching)), in the order of _matchings."""
+    return ((m, start(m)) for m in _matchings(list(range(n))))
+
+
+def _reference_forest_start(n: int):
+    """The forest engine's root key: the validated graph of the pairs."""
+    return lambda matching: Graph.from_edges(n, matching).adj
+
+
+def _reference_stabilizer_start(n: int, track_parts: bool):
+    """The stabilizer engine's root key: the canonical rows of the pairs'
+    graph state, with each qubit's cluster mask when clusters are tracked."""
+    def start(matching):
+        pairs = Graph.from_edges(n, matching)
+        parts = tuple(row | 1 << q for q, row in enumerate(pairs.adj)) if track_parts else ()
+        return _canonical_rows_of(graph_to_stabilizers(pairs)), parts
+
+    return start
+
+
 def _reference_search(target: Graph, allow_intra: bool = False, allow_hadamard: bool = False,
                       max_gates: int | None = None) -> Schedule | None:
     """brute_force_schedule_search on the reference engines."""
@@ -295,10 +316,8 @@ def _reference_search_forest(target: Graph, max_gates: int) -> Schedule | None:
             for i2 in bits(outside[i1]):
                 yield gates[i1][i2], join_adjacency(adj, i1, i2)
 
-    def start(matching):
-        return Graph.from_edges(n, matching).adj
-
-    return _breadth_first(target, start, expand, target.adj.__eq__, depth_needed)
+    return _breadth_first(target, _reference_roots(n, _reference_forest_start(n)), expand,
+                          target.adj.__eq__, depth_needed)
 
 
 def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamard: bool,
@@ -331,7 +350,8 @@ def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamar
             for q in range(n):
                 yield Hadamard(q), (group.apply_hadamard(q).canonical_form(), parts)
 
-    return _breadth_first(target, start, expand, lambda key: key[0] == goal, max_gates)
+    return _breadth_first(target, _reference_roots(n, start), expand,
+                          lambda key: key[0] == goal, max_gates)
 
 
 def _labelled_graphs(n: int):
@@ -617,25 +637,33 @@ def _reference_finish(target: Graph, allow_intra: bool, allow_hadamard: bool):
 
 def _engine_finish(monkeypatch, target: Graph, allow_intra: bool, allow_hadamard: bool,
                    max_gates: int | None = None):
-    """Run the stabilizer search on target and return its finish and the
-    keys that the search scanned with it, in order."""
-    run = {"scanned": []}
+    """Run the stabilizer search on target and return its finish, every
+    key that the roots and expand yield (each key the search adds to
+    seen, apart from a goal that finish reaches), in order of first
+    appearance, and the keys that the search scanned with finish."""
+    run = {"found": {}, "scanned": []}
     breadth_first = planner._breadth_first
 
-    def recording(target, start, expand, is_goal, max_gates, finish=None):
+    def recording(target, roots, expand, is_goal, max_gates, finish=None, min_gates=0):
         run["finish"] = finish
+
+        def found(steps):
+            for step, key in steps:
+                run["found"].setdefault(key, None)
+                yield step, key
 
         def scanning(key):
             run["scanned"].append(key)
             return finish(key)
 
-        return breadth_first(target, start, expand, is_goal, max_gates, scanning)
+        return breadth_first(target, found(roots), lambda key: found(expand(key)), is_goal,
+                             max_gates, scanning, min_gates)
 
     with monkeypatch.context() as patch:
         patch.setattr(planner, "_breadth_first", recording)
         brute_force_schedule_search(target, allow_intra=allow_intra, allow_hadamard=allow_hadamard,
                                     max_gates=max_gates)
-    return run["finish"], run["scanned"]
+    return run["finish"], list(run["found"]), run["scanned"]
 
 
 def _postselected(rows: tuple[int, ...], n: int, i1: int, i2: int) -> tuple[int, ...]:
@@ -660,9 +688,10 @@ def test_membership_finish_matches_construct_and_compare(monkeypatch):
              (PATH4, False, True, None)]
     cases += [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), True, True, 3)
               for _ in range(6)]
-    scanned = finishing = impossible = 0
+    checked = scanned = finishing = finishing_scanned = impossible = 0
     for target, intra, hadamard, cap in cases:
-        finish, keys = _engine_finish(monkeypatch, target, intra, hadamard, cap)
+        finish, keys, scanned_keys = _engine_finish(monkeypatch, target, intra, hadamard, cap)
+        assert set(scanned_keys) <= set(keys)
         reference = _reference_finish(target, intra, hadamard)
         leaves = [(row.bit_length() - 1, i2)
                   for i2, row in enumerate(target.adj) if row.bit_count() == 1]
@@ -670,13 +699,16 @@ def test_membership_finish_matches_construct_and_compare(monkeypatch):
             expected = list(reference(key))
             assert list(finish(key)) == expected, (target.sorted_edges(), key)
             finishing += bool(expected)
+            finishing_scanned += bool(expected) and key in scanned_keys
             impossible += sum(_zz_postselect_rows(key[0], target.num_vertices, i1, i2)[1] is None
                               for i1, i2 in leaves)
-        scanned += len(keys)
-    assert scanned > 8000 and finishing == 3 and impossible > 0
+        checked += len(keys)
+        scanned += len(scanned_keys)
+    assert checked > 8000 and finishing_scanned == 3 and impossible > 0
+    assert scanned < checked  # the gate-count bound skips scans, not checks
 
     # net6 one gate short of the goal, replayed on packed rows
-    finish, _keys = _engine_finish(monkeypatch, NET6, True, False)
+    finish, _keys, _scanned = _engine_finish(monkeypatch, NET6, True, False)
     goal = _canonical_rows_of(graph_to_stabilizers(NET6))
     sched = brute_force_schedule_search(NET6, allow_intra=True)
     matching = [ins.qubits for ins in sched.instructions if isinstance(ins, CreatePair)]
@@ -690,7 +722,7 @@ def test_membership_finish_matches_construct_and_compare(monkeypatch):
 
     # star-4 under intra gates: the finishing gates are (0, 1), (0, 2), (0, 3)
     n = 4
-    finish, _keys = _engine_finish(monkeypatch, STAR4, True, False)
+    finish, _keys, _scanned = _engine_finish(monkeypatch, STAR4, True, False)
     reference = _reference_finish(STAR4, True, False)
     goal = _canonical_rows_of(graph_to_stabilizers(STAR4))
     # before the Hadamard of gate (0, 1): holds +Z_0 Z_1, which no row anticommutes with
@@ -706,7 +738,7 @@ def test_membership_finish_matches_construct_and_compare(monkeypatch):
     # a lone edge (4, 5) is left alone by H_4 H_5, so H_4 and H_5 both
     # finish; with every qubit in one cluster no gate can come first
     target = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
-    finish, _keys = _engine_finish(monkeypatch, target, False, True)
+    finish, _keys, _scanned = _engine_finish(monkeypatch, target, False, True)
     goal = _canonical_rows_of(graph_to_stabilizers(target))
     before = _canonical_rows(_hadamard_rows(goal, 6, 5), 6)
     assert before == _canonical_rows(_hadamard_rows(goal, 6, 4), 6)
@@ -793,7 +825,7 @@ def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
         joined.append((i1, i2))
         return join(adj, i1, i2)
 
-    def recording(target, start, expand, is_goal, max_gates, finish=None):
+    def recording(target, roots, expand, is_goal, max_gates, finish=None, min_gates=0):
         def checked(key):
             joined.clear()
             steps = list(expand(key))
@@ -810,7 +842,7 @@ def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
             counts["mismatched"] += steps != list(reference(key)) or joined != expected
             return steps
 
-        return breadth_first(target, start, checked, is_goal, max_gates, finish)
+        return breadth_first(target, roots, checked, is_goal, max_gates, finish, min_gates)
 
     with monkeypatch.context() as patch:
         patch.setattr(planner, "_breadth_first", recording)
@@ -871,6 +903,188 @@ def test_graph_form_keys_make_no_tableau_gate_attempt(monkeypatch):
     monkeypatch.setattr(planner, "_zz_postselect_rows", counting)
     assert brute_force_schedule_search(NET6, allow_intra=True).gate_count() == 3
     assert len(attempts) == 126
+
+
+# ----- the roots each engine builds, and the stabilizer engine's lower
+# bound on the gate count -----
+
+
+def _engine_roots(monkeypatch, target: Graph, allow_intra: bool = False,
+                  allow_hadamard: bool = False) -> list:
+    """The (matching, key) roots that the engine passes to _breadth_first
+    for target, without running the search."""
+    captured = []
+
+    def capturing(target, roots, *args, **kwargs):
+        captured.extend(roots)
+        return None
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_breadth_first", capturing)
+        brute_force_schedule_search(target, allow_intra=allow_intra, allow_hadamard=allow_hadamard)
+    return captured
+
+
+def test_roots_match_the_validated_reference_roots(monkeypatch):
+    """Both engines build each root straight from its matching. For every
+    perfect matching on 2 to 8 vertices, the pairs' adjacency is the
+    validated Graph's and the stabilizer engine's key, cluster masks
+    included, is the canonical rows of its graph state. The forest engine
+    passes exactly the reference roots that lie in the backward set from
+    the target, in order: every tree with an even number of vertices and
+    seeded relabellings of the 8-vertex ones. An unreachable tree has no
+    such root, so its search ends at the empty first depth."""
+    for n in (2, 4, 6, 8):
+        target = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+        for m in _matchings(list(range(n))):
+            assert planner._pair_adjacency(m, n) == Graph.from_edges(n, m).adj
+        for intra, hadamard in ((True, False), (False, True), (True, True)):
+            start = _reference_stabilizer_start(n, track_parts=not intra)
+            assert (_engine_roots(monkeypatch, target, intra, hadamard)
+                    == list(_reference_roots(n, start)))
+    rng = random.Random(19)
+    trees = [tree for n in (2, 4, 6, 8) for tree in _trees(n)]
+    trees += [_relabelled(tree, rng) for tree in _trees(8)]
+    counts = {"roots": 0, "kept": 0, "unreachable": 0}
+    for tree in trees:
+        n = tree.num_vertices
+        reaching = _reaching(tree.adj, n, n // 2 - 1)
+        reference = list(_reference_roots(n, _reference_forest_start(n)))
+        roots = _engine_roots(monkeypatch, tree)
+        assert roots == [(m, adj) for m, adj in reference if adj in reaching], tree.sorted_edges()
+        counts["roots"] += len(reference)
+        counts["kept"] += len(roots)
+        if not roots:
+            assert plan_join_sequence(tree) is None
+            counts["unreachable"] += 1
+    assert counts == {"roots": 4927, "kept": 382, "unreachable": 45}
+
+
+def _gate_lower_bound(target: Graph, allow_hadamard: bool) -> int:
+    """n/2 - k gates for a target with k components, one more for a
+    target with a cycle when no bare Hadamard is allowed."""
+    n = target.num_vertices
+    k = len(target.components())
+    forest = len(target.edges) == n - k
+    return n // 2 - k + (not allow_hadamard and not forest)
+
+
+def _search_rewriting_min_gates(monkeypatch, target: Graph, allow_intra: bool,
+                                allow_hadamard: bool, max_gates: int | None,
+                                rewrite) -> tuple[Schedule | None, list]:
+    """brute_force_schedule_search with the min_gates that the engine
+    passes to _breadth_first replaced by rewrite(min_gates). Returns the
+    schedule and the min_gates values the engine passed."""
+    passed = []
+    breadth_first = planner._breadth_first
+
+    def rewriting(target, roots, expand, is_goal, max_gates, finish=None, min_gates=0):
+        passed.append(min_gates)
+        return breadth_first(target, roots, expand, is_goal, max_gates, finish, rewrite(min_gates))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_breadth_first", rewriting)
+        sched = brute_force_schedule_search(target, allow_intra=allow_intra,
+                                            allow_hadamard=allow_hadamard, max_gates=max_gates)
+    return sched, passed
+
+
+# two disjoint triangles, and a 6-vertex forest of a star and an edge
+TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+FOREST2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+
+
+def _steps(sched: Schedule) -> int:
+    """Gates and Hadamards: the depth at which the search finds sched,
+    which max_gates caps."""
+    return len(sched.instructions) - sched.pair_count()
+
+
+def _bound_cases() -> list[tuple[Graph, bool, bool, int | None]]:
+    """(target, allow_intra, allow_hadamard, max_gates): every labelled
+    4-vertex graph under the four flag sets; 40 seeded random 6-vertex
+    graphs with intra gates or with Hadamards at a 3-gate cap; net6
+    with intra gates and with both; K3,3 with Hadamards; two disjoint
+    triangles and a two-component forest with intra gates."""
+    flags = [(False, False), (True, False), (False, True), (True, True)]
+    cases = [(graph, *f, None) for f in flags for graph in _labelled_graphs(4)]
+    rng = random.Random(20)
+    pairs = list(itertools.combinations(range(6), 2))
+    cases += [(Graph.from_edges(6, [e for e in pairs if rng.random() < 0.4]), *flags[1 + i % 2], 3)
+              for i in range(40)]
+    cases += [(NET6, True, False, None), (NET6, True, True, None), (K33, False, True, None),
+              (TRIANGLES, True, False, None), (FOREST2, True, False, None)]
+    return cases
+
+
+def test_gate_lower_bound_is_sound_and_changes_no_schedule(monkeypatch):
+    """The stabilizer engine scans a state for a finishing step only at
+    gate counts that the bound n/2 - k (+1 for a cycle without Hadamards)
+    allows, and it passes exactly that bound. On every bound case the
+    bound never exceeds the gate count of the schedule that the search
+    with min_gates forced to 0 finds, and the search with the bound
+    returns the same schedule, also when the gate cap is that gate count,
+    where a bound too high would lose the schedule. The bound is tight on
+    net6 and the two-component forest. The square with a pendant on each
+    corner (2.5 s a search) runs once, with the bound at its 4-gate cap,
+    where the bound is tight too; tests/schedule_sweep.py compares its
+    schedule with the unbounded search of the parent commit."""
+    counts = {"found": 0, "tight": 0}
+    for target, intra, hadamard, cap in _bound_cases():
+        bound = _gate_lower_bound(target, hadamard)
+        sched, passed = _search_rewriting_min_gates(monkeypatch, target, intra, hadamard, cap,
+                                                    lambda _m: 0)
+        assert passed == ([bound] if intra or hadamard else [0]), target.sorted_edges()
+        if intra or hadamard:
+            tight_cap = cap if sched is None else _steps(sched)
+            bounded = brute_force_schedule_search(target, allow_intra=intra,
+                                                  allow_hadamard=hadamard, max_gates=tight_cap)
+            assert bounded == sched, (target.sorted_edges(), intra, hadamard, tight_cap)
+        if sched is not None:
+            assert bound <= sched.gate_count(), (target.sorted_edges(), intra, hadamard)
+            counts["found"] += 1
+            counts["tight"] += bound == sched.gate_count()
+    assert counts == {"found": 33, "tight": 32}
+    square = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+    sched = brute_force_schedule_search(square, allow_intra=True, max_gates=4)
+    assert sched is not None and _gate_lower_bound(square, False) == sched.gate_count() == 4
+
+
+def test_gate_lower_bound_skips_most_net6_scans(monkeypatch):
+    """net6 under --allow-intra needs 3 gates, so the search scans only
+    the states with 2: 23 of the 188 it finds, against all 188 with
+    min_gates forced to 0."""
+    _finish, keys, scanned = _engine_finish(monkeypatch, NET6, True, False)
+    with monkeypatch.context() as patch:
+        breadth_first = planner._breadth_first
+        patch.setattr(planner, "_breadth_first", lambda *args: breadth_first(*args[:-1], 0))
+        _finish, unbounded_keys, unbounded = _engine_finish(patch, NET6, True, False)
+    assert keys == unbounded_keys
+    assert (len(keys), len(scanned), len(unbounded)) == (188, 23, 188)
+
+
+def test_gate_lower_bound_mutations_are_caught(monkeypatch):
+    """The differential has teeth: at net6's 3-gate cap, where the bound
+    is tight, one more than the bound loses its schedule, and counting
+    every target as one component changes at least one schedule of the
+    bound cases at the cap of its gate count."""
+    assert brute_force_schedule_search(NET6, allow_intra=True, max_gates=3) is not None
+    sched, _passed = _search_rewriting_min_gates(monkeypatch, NET6, True, False, 3, lambda m: m + 1)
+    assert sched is None
+    changed = []
+    for target, intra, hadamard, cap in _bound_cases():
+        k = len(target.components())
+        if k == 1 or not (intra or hadamard):
+            continue
+        sched = brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard,
+                                            max_gates=cap)
+        if sched is not None:
+            cap = _steps(sched)
+        mutant, _passed = _search_rewriting_min_gates(monkeypatch, target, intra, hadamard, cap,
+                                                      lambda m: m + k - 1)
+        if mutant != sched:
+            changed.append((target.sorted_edges(), intra, hadamard))
+    assert (FOREST2.sorted_edges(), True, False) in changed
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
