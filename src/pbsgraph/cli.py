@@ -102,7 +102,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="brute force may fuse qubits already in one cluster")
     p.add_argument("--allow-hadamard", action="store_true",
                    help="brute force may insert bare Hadamards")
-    p.add_argument("--max-gates", type=int, help="gate cap for the brute-force search")
+    p.add_argument("--max-gates", type=int,
+                   help="cap on the brute-force search's steps: its gates, and under "
+                        "--allow-hadamard its bare Hadamards too")
     p.add_argument("--out", help="write the schedule here instead of stdout")
     p.add_argument("--dot", help="also write the target graph in DOT format")
 

@@ -1,27 +1,29 @@
 """Schedule synthesis and execution for fusion-built graph states.
 
-Three planners live here. plan_tree_protocol emits the doubling
-schedule that builds a caterpillar tree out of Bell pairs, measuring
-every qubit as soon as no later gate touches it. plan_join_sequence
-decides exactly which trees the inter-graph fusion rule can reach and
-reconstructs a gate sequence when one exists. brute_force_schedule_search
-is the independent oracle: a breadth-first sweep over all schedules on
-at most eight qubits, either on labeled forests held as adjacency masks
+Three planners live here. plan_tree_protocol emits the doubling schedule
+that builds a caterpillar tree out of Bell pairs, measuring every qubit
+as soon as no later gate touches it. plan_join_sequence decides exactly
+which trees the inter-graph fusion rule can reach and reconstructs a
+gate sequence when one exists. brute_force_schedule_search is the
+independent oracle: a breadth-first sweep over all schedules on at most
+eight qubits, either on labeled forests held as adjacency masks
 (inter-graph gates only) or on stabilizer groups held as tuples of
 canonical packed rows (when intra-graph gates or extra Hadamards are
-allowed; a gate across the components of a graph-form state takes the
-join rule there too). Each engine builds its roots, the Bell pairs on
-each perfect matching, straight from the matching as masks or graph
-rows. Both are goal-directed without changing which schedule they find:
-the forest search starts from and keeps only forests that a backward
-walk from the target reaches, and the stabilizer search tries on each
-new state, as soon as it is found, only the steps that can finish the
+allowed; on a graph state with local Z signs, a gate across two
+components or on a lone edge takes a graph rule there too, and a gate
+that only repeats an earlier successor is left out). Each engine builds
+its roots, the Bell pairs on each perfect matching, straight from the
+matching as masks or graph rows. Both are goal-directed without changing
+which schedule they find: the forest search starts from and keeps only
+forests that a backward walk from the target reaches, and follows only
+the joins that walk recorded; the stabilizer search tries on each new
+state, as soon as it is found, only the steps that can finish the
 target, so its last expansion stops at the first state that finishes.
-That scan builds no successor: it tests whether the step's result is
-the goal by stabilizer membership, row by row, and it is skipped on
-states with too few gates to finish: a target with k components takes
-at least n/2 - k gates, one more for a cycle without bare Hadamards.
-Both keep bare ints as search states; the StabilizerGroup methods that
+That scan builds no successor: it tests whether the step's result is the
+goal by stabilizer membership, row by row, and it is skipped on states
+with too few gates to finish: a target with k components takes at least
+n/2 - k gates, one more for a cycle without bare Hadamards. Both keep
+bare ints as search states; the StabilizerGroup methods that
 execute_schedule uses stay the reference for the packed kernels.
 
 execute_schedule runs any schedule through the stabilizer engine and
@@ -471,19 +473,23 @@ def brute_force_schedule_search(
     rewrite rule applies; the search starts from and keeps only forests
     from which the target can still be reached, found by inverting the
     join from the target back, so an unreachable tree ends before any
-    expansion. Allowing intra-graph gates or bare Hadamards switches to
-    breadth-first search over stabilizer groups, each keyed by its
-    canonical packed rows (pauli's row kernels); each new state is first
-    tried with only the gates onto the target's leaves and the Hadamards,
-    since no other step can finish a graph state, and only once it has
-    enough gates that one more step can reach the target's gate-count
-    lower bound. A gate across two components of a state in graph form is
-    built by the join rule, which gives the same key as the tableau. None
-    of the pruning changes the schedule found. Returns a minimum-gate-count
-    schedule, or None if none exists within max_gates (default: one gate
-    beyond the tree-building minimum). max_gates may be any non-negative
-    int: the search also ends at the first depth that reaches no new
-    state. A negative max_gates raises ValueError.
+    expansion, and follows only the joins that walk recorded. Allowing
+    intra-graph gates or bare Hadamards switches to breadth-first search
+    over stabilizer groups, each keyed by its canonical packed rows
+    (pauli's row kernels); each new state is first tried with only the
+    gates onto the target's leaves and the Hadamards, since no other step
+    can finish a graph state, and only once it has enough gates that one
+    more step can reach the target's gate-count lower bound. On a graph
+    state with local Z signs, a gate across two components or on a lone
+    edge is built by a graph rule, which gives the same key as the
+    tableau, and a gate whose key an earlier gate already gave is left
+    out. None of the pruning changes the schedule found. Returns a
+    schedule with the fewest search steps, or None if none exists within
+    max_gates steps (default: one beyond the tree-building minimum). A
+    step is a gate, or a bare Hadamard when allow_hadamard is set, so
+    max_gates caps the gates and the Hadamards together there. max_gates
+    may be any non-negative int: the search also ends at the first depth
+    that reaches no new state. A negative max_gates raises ValueError.
     """
     n = target.num_vertices
     if n > max_qubits:
@@ -613,19 +619,39 @@ def _pre_images(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, tuple[
             taken = taken - 1 & others
 
 
-def _reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...]]:
-    """Every forest a schedule can build that reaches the target in at
+def _reaching(target: tuple[int, ...], n: int,
+              joins: int) -> dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]]:
+    """Every forest P a schedule can build that reaches the target in at
     most `joins` joins, found by walking back from the target one join at
-    a time (the backward half of a bidirectional search, Pohl 1971).
-    Pre-images that isolate i1 or i2 (the full and the empty subset) are
-    dropped: the pairs isolate no vertex and no join isolates one, so no
-    schedule builds them, and a pre-image keeps every isolated vertex
-    isolated, so nothing walked back from them is built either."""
-    reaching = layer = {target}
+    a time (the backward half of a bidirectional search, Pohl 1971), each
+    mapped to its edges: every (i1, i2, F), in sorted order, with i1 and
+    i2 in different components of P, join_adjacency(P, i1, i2) == F and F
+    in the set. Pre-images that isolate i1 or i2 (the full and the empty
+    subset) are dropped: the pairs isolate no vertex and no join isolates
+    one, so no schedule builds them, and a pre-image keeps every isolated
+    vertex isolated, so nothing walked back from them is built either.
+
+    The edges are complete. A join across components merges two of them,
+    so the walk's layers hold forests of k, k + 1, ... components, k the
+    target's, and every join from P lands in the layer one nearer the
+    target, which the walk has already expanded. _pre_images lists every
+    separated (i1, i2, E) that joins into a forest, so the walk records
+    each join from P into the set as the pre-image (i1, i2, P) of where it
+    lands."""
+    reaching: dict = {target: []}
+    layer = [target]
     for _ in range(joins):
-        layer = {pre for adj in layer for i1, i2, pre in _pre_images(adj, n)
-                 if pre[i1] and pre[i2]}
-        reaching = reaching | layer
+        next_layer = []
+        for joined in layer:
+            for i1, i2, pre in _pre_images(joined, n):
+                if pre[i1] and pre[i2]:
+                    if pre not in reaching:
+                        reaching[pre] = []
+                        next_layer.append(pre)
+                    reaching[pre].append((i1, i2, joined))
+        layer = next_layer
+    for edges in reaching.values():
+        edges.sort()  # (i1, i2) fixes the forest joined into
     return reaching
 
 
@@ -639,11 +665,15 @@ def _outside_masks(adj: tuple[int, ...], n: int) -> list[int]:
     return outside
 
 
-def _graph_rows(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The canonical packed rows of the graph state on adj: row i is
-    +X_i Z^adj[i]. Its only X bit is its pivot and no row has a sign, so
-    the rows are already fully reduced."""
-    return tuple(1 << i | a << n for i, a in enumerate(adj))
+def _graph_rows(adj: tuple[int, ...], n: int, signs: int = 0) -> tuple[int, ...]:
+    """The canonical packed rows of Z^s|G>, G the graph on adj and s_i
+    bit i of signs: row i is (-1)^s_i X_i Z^adj[i], since Z_i flips the
+    sign of exactly the one generator with X on i. Each row's only X bit
+    is its pivot, so the rows are already fully reduced."""
+    rows = [1 << i | a << n for i, a in enumerate(adj)]
+    for i in bits(signs):
+        rows[i] |= 1 << 2 * n
+    return tuple(rows)
 
 
 def _pair_adjacency(matching: list[tuple[int, int]], n: int) -> tuple[int, ...]:
@@ -659,11 +689,13 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     forward from the pairs and only through forests that can still reach
     the target. A state outside that set has no path to the target, and
     every path to it runs through states inside, so the schedule found is
-    the one the unpruned sweep finds."""
+    the one the unpruned sweep finds. expand yields a forest's edges as
+    the backward walk recorded them, which are exactly its joins into the
+    set, in the order of the unpruned sweep."""
     n = target.num_vertices
-    # Inter-graph joins merge one component per gate, so a spanning tree
-    # costs exactly n/2 - 1 of them; deeper search cannot help.
-    depth_needed = n // 2 - 1
+    # Each join merges two components, so the n/2 pairs reach a target of
+    # k components in exactly n/2 - k joins; deeper search cannot help.
+    depth_needed = n // 2 - len(component_masks(target.adj, (1 << n) - 1))
     if depth_needed > max_gates:
         return None
     # Prebuilt gates: building one per successor costs about half a join.
@@ -671,14 +703,8 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
     reaching = _reaching(target.adj, n, depth_needed)
 
     def expand(adj: tuple[int, ...]):
-        if adj not in reaching:
-            return
-        outside = _outside_masks(adj, n)
-        for i1 in range(n):
-            for i2 in bits(outside[i1]):
-                joined = join_adjacency(adj, i1, i2)
-                if joined in reaching:
-                    yield gates[i1][i2], joined
+        for i1, i2, joined in reaching[adj]:
+            yield gates[i1][i2], joined
 
     roots = ((m, adj) for m in _matchings(list(range(n)))
              if (adj := _pair_adjacency(m, n)) in reaching)
@@ -729,12 +755,32 @@ def _search_stabilizer(
     The roots are keyed by the graph rows of the pairs, with the pairs as
     the starting cluster masks.
 
-    expand builds a gate across two components of a key in graph form
-    (row i is +X_i times Z on i's neighbours) by the join rule, as
-    pbs_join_graphs does: the gate succeeds with probability 1/2 and
-    leaves the graph state of join_adjacency, whose rows are already
-    fully reduced, so its key is the tableau's and no schedule changes.
-    Every other step runs on the tableau."""
+    expand builds three cases by graph rules (Anders & Briegel,
+    quant-ph/0504117; Hein, Eisert & Briegel, quant-ph/0307130), with no
+    tableau call, on a key in graph form up to signs: every row, its sign
+    dropped, is the graph row X_i Z^adj[i], so the state is Z^s|G> with
+    s_i the sign of row i (_graph_rows). Z^s commutes with the projection
+    on +Z_i1 Z_i2, and H_i2 Z_i2 = X_i2 H_i2.
+    (a) A gate (i1, i2) across two components succeeds with probability
+    1/2 and leaves Z^s' X_i2^s_i2 |G'>, G' = join_adjacency(G, i1, i2)
+    as pbs_join_graphs gives it and s' = s without s_i2. In G', i2 is a
+    leaf of i1, so X_i2 acts on |G'> as Z_i1: s'_i1 = s_i1 xor s_i2,
+    s'_i2 = 0, every other sign kept.
+    (b) A gate on a lone edge {i1, i2} (a whole component) succeeds with
+    probability 1/2 and keeps the edge, with s'_i1 = s_i1 xor s_i2 xor 1
+    and s'_i2 = 0. Z_i1 Z_i2 anticommutes with both rows, so it is kept
+    with their product (-1)^(s_i1 + s_i2) Y_i1 Y_i2; H_i2 makes these
+    Z_i1 X_i2 and (-1)^(s_i1 + s_i2 + 1) Y_i1 Y_i2, whose product is
+    X_i1 Z_i2 with that sign.
+    (c) A gate (i1, i2) across components, where i2's component is a
+    lone edge {j, i2} with j < i2 and no sign on j or i2, is left out. By
+    (a) it leaves i1 with j and i2 as two unsigned leaves, as (i1, j)
+    does, and j and i2 share a cluster, so both give the same key. expand
+    yields (i1, j) before it, so _breadth_first would find the key in
+    seen and skip it: seen, the frontier and every schedule stay the
+    same. This is an exact duplicate, not a commuting interleaving.
+    The rows of (a) and (b) are already fully reduced, so each key is
+    the tableau's. Every other step runs on the tableau."""
     n = target.num_vertices
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
@@ -765,15 +811,28 @@ def _search_stabilizer(
 
     def expand(key: tuple):
         rows, parts = key
-        # graph form iff rows are the graph rows of adj, masked to
-        # drop a diagonal Z bit and the sign
+        # graph form up to signs iff rows are the signed graph rows of
+        # adj, read with the diagonal Z bit dropped
         adj = tuple(row >> n & everyone & ~(1 << i) for i, row in enumerate(rows))
-        outside = _outside_masks(adj, n) if _graph_rows(adj, n) == rows else [0] * n
+        signs = sum(row >> 2 * n << i for i, row in enumerate(rows))
+        outside, lone, twins = [0] * n, 0, 0
+        if _graph_rows(adj, n, signs) == rows:
+            outside = _outside_masks(adj, n)
+            for v, a in enumerate(adj):
+                if a.bit_count() == 1 and adj[a.bit_length() - 1] == 1 << v:
+                    lone |= 1 << v  # v and its one neighbour are a component
+                    if a < 1 << v and not signs & (a | 1 << v):
+                        twins |= 1 << v  # the higher end of an unsigned lone edge
         for i1, i2 in every_gate:
             if track_parts and parts[i1] >> i2 & 1:
                 continue
-            if outside[i1] >> i2 & 1:
-                new_rows = _graph_rows(join_adjacency(adj, i1, i2), n)
+            if outside[i1] >> i2 & 1:  # rule (a)
+                if twins >> i2 & 1:
+                    continue  # rule (c)
+                new_rows = _graph_rows(join_adjacency(adj, i1, i2), n,
+                                       (signs ^ (signs >> i2 & 1) << i1) & ~(1 << i2))
+            elif lone >> i1 & 1 and adj[i1] == 1 << i2:  # rule (b)
+                new_rows = _graph_rows(adj, n, (signs ^ (~signs >> i2 & 1) << i1) & ~(1 << i2))
             else:
                 _prob, measured = _zz_postselect_rows(rows, n, i1, i2)
                 if measured is None:

@@ -5,7 +5,7 @@ schedule text (or None) that brute_force_schedule_search returns, or,
 for a CLI record, the exit code, stdout and stderr of `plan --brute-force`
 and of `verify --oracle` on its schedule, and the schedule file. Run one
 copy of it against the src of each of two commits and compare the
-outputs; a planner change that keeps every schedule prints the same 1787
+outputs; a planner change that keeps every schedule prints the same 1898
 lines:
 
     PYTHONPATH=src python3 tests/schedule_sweep.py > change.txt
@@ -76,8 +76,24 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
                                 if rng.random() < 0.4])
 
 
+def _forests(rng: random.Random):
+    """Disjoint unions of k = 2 and k = 3 trees of at least two vertices
+    each, on 4, 6 and 8 vertices, each relabelled at random: 21 forests."""
+    for n in (4, 6, 8):
+        for k in (2, 3):
+            for sizes in itertools.combinations_with_replacement(range(2, n - 1), k):
+                if sum(sizes) != n:
+                    continue
+                for trees in itertools.product(*(list(_trees(size)) for size in sizes)):
+                    edges, offset = [], 0
+                    for tree in trees:
+                        edges += [(u + offset, v + offset) for u, v in tree.sorted_edges()]
+                        offset += tree.num_vertices
+                    yield _relabelled(Graph.from_edges(n, edges), rng)
+
+
 def search_cases():
-    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1595
+    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1706
     search records."""
     rng = random.Random(1778)
     for n in range(2, 9):
@@ -119,6 +135,15 @@ def search_cases():
         yield "two-component forest", FOREST2, True, False, cap
     for cap in (None, 2, 3):
         yield "net6", NET6, True, True, cap
+    # forests of more than one component at every cap up to n/2, and net6
+    # relabellings at caps around their 3 gates
+    for forest in _forests(rng):
+        for cap in range(forest.num_vertices // 2 + 1):
+            yield "forest", forest, False, False, cap
+    for _ in range(4):
+        net6 = _relabelled(NET6, rng)
+        for cap in (2, 3, 4):
+            yield "net6", net6, True, False, cap
 
 
 def main() -> int:

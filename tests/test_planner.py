@@ -68,6 +68,9 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 NET6 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 # each even vertex joined to each odd one
 K33 = Graph.from_edges(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+# two disjoint triangles, and a 6-vertex forest of a star and an edge
+TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+FOREST2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
 
 
 def _relabelled(graph: Graph, rng: random.Random) -> Graph:
@@ -245,7 +248,8 @@ def test_four_cycle_stays_unreachable_even_with_intra_and_hadamards():
 def test_k33_needs_bare_hadamards():
     """K3,3 is a local-Clifford image of a joined tree: two inter-cluster
     gates and two bare Hadamards build it exactly, and intra-cluster
-    gates alone cannot build it."""
+    gates alone cannot build it. max_gates caps search steps, and a bare
+    Hadamard is a step, so this 2-gate schedule needs a cap of 4."""
     assert brute_force_schedule_search(K33, allow_intra=True) is None
     sched = brute_force_schedule_search(K33, allow_hadamard=True)
     assert sched is not None
@@ -253,6 +257,10 @@ def test_k33_needs_bare_hadamards():
         CreatePair(0, 1), CreatePair(2, 4), CreatePair(3, 5),
         PbsGate(0, 2), PbsGate(1, 3), Hadamard(0), Hadamard(1),
     )
+    for cap in (2, 3):
+        assert brute_force_schedule_search(K33, allow_hadamard=True, max_gates=cap) is None
+    capped = brute_force_schedule_search(K33, allow_hadamard=True, max_gates=4)
+    assert capped.instructions == sched.instructions
     prob, group, graph = execute_schedule(sched)
     assert prob == 0.25 and graph == K33
     fock_prob, fock_state = execute_schedule_fock(sched)
@@ -300,10 +308,9 @@ def _reference_search(target: Graph, allow_intra: bool = False, allow_hadamard: 
 
 
 def _reference_search_forest(target: Graph, max_gates: int) -> Schedule | None:
+    """Every join at every depth up to max_gates, and never past n/2 - 1
+    joins, when every forest is one tree."""
     n = target.num_vertices
-    depth_needed = n // 2 - 1
-    if depth_needed > max_gates:
-        return None
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     everyone = (1 << n) - 1
 
@@ -317,7 +324,7 @@ def _reference_search_forest(target: Graph, max_gates: int) -> Schedule | None:
                 yield gates[i1][i2], join_adjacency(adj, i1, i2)
 
     return _breadth_first(target, _reference_roots(n, _reference_forest_start(n)), expand,
-                          target.adj.__eq__, depth_needed)
+                          target.adj.__eq__, min(max_gates, n // 2 - 1))
 
 
 def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamard: bool,
@@ -395,6 +402,29 @@ def test_forest_search_matches_unpruned_reference():
     assert _assert_same_schedules(graphs4) == 7  # the four stars and three matchings
 
 
+def test_forest_search_depth_counts_target_components():
+    """A target of k components takes n/2 - k joins, so the forest engine
+    finds it at that gate cap: the star plus a lone edge at 1, a 4-vertex
+    perfect matching at 0 (both were None when the depth was n/2 - 1).
+    Every 6-vertex forest of 2 or 3 components with even parts, and every
+    labelled 4-vertex graph, agrees with the unpruned sweep at every cap
+    from 0 to n/2."""
+    sched = brute_force_schedule_search(FOREST2, max_gates=1)
+    assert sched is not None and sched.gate_count() == 1
+    assert execute_schedule(sched)[2] == FOREST2
+    matching = Graph.from_edges(4, [(0, 3), (1, 2)])
+    assert brute_force_schedule_search(matching, max_gates=0).instructions == (
+        CreatePair(0, 3), CreatePair(1, 2))
+    rng = random.Random(42)
+    forests = [Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), FOREST2,
+               Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])]
+    forests = [(_relabelled(forest, rng), False, False) for forest in forests for _ in range(3)]
+    found = [_assert_same_schedules(forests, cap) for cap in range(4)]
+    assert found == [3, 6, 6, 6]  # path-4 plus an edge is unreachable
+    graphs4 = [(graph, False, False) for graph in _labelled_graphs(4)]
+    assert [_assert_same_schedules(graphs4, cap) for cap in range(3)] == [3, 7, 7]
+
+
 def test_stabilizer_search_matches_object_reference():
     """The search on packed rows returns the object-level search's
     schedules: seeded relabellings of net6 with intra gates, every
@@ -469,9 +499,11 @@ def test_pre_images_invert_the_join():
     every labelled 4-vertex forest it equals the inverse found by joining
     every labelled graph; on 8-vertex trees every edge of the unpruned
     forward sweep into the backward set starts at one of its pre-images,
-    and each pre-image joins back from separate components. _reaching is
-    the unpruned backward walk without the forests that isolate a vertex,
-    which no schedule builds."""
+    and each pre-image joins back from separate components. _reaching's
+    forests are the unpruned backward walk without the forests that
+    isolate a vertex, which no schedule builds, and each forest's recorded
+    edges are, in order, every join across its components that lands in
+    the set."""
     graphs = [g.adj for g in _labelled_graphs(4)]
     inverse: dict[tuple, list] = {}
     for adj in graphs:
@@ -490,9 +522,18 @@ def test_pre_images_invert_the_join():
     into = _forest_sweep(8)
     assert sum(map(len, into.values())) == 5040 + 33600 + 82432
     reached = 0
+    edge_count = 0
     for target in [protocol] + [_relabelled(tree, rng) for tree in trees[1:]]:
         walk = _reference_reaching(target.adj, 8, 3)
-        assert _reaching(target.adj, 8, 3) == {forest for forest in walk if all(forest)}
+        reaching = _reaching(target.adj, 8, 3)
+        assert set(reaching) == {forest for forest in walk if all(forest)}
+        for forest, edges in reaching.items():
+            # sound (each edge a join across components) and complete, in order
+            comp = {v: c for c in component_masks(forest, 255) for v in bits(c)}
+            assert edges == [(i1, i2, joined) for i1, i2 in itertools.permutations(range(8), 2)
+                             if comp[i1] != comp[i2]
+                             and (joined := join_adjacency(forest, i1, i2)) in reaching]
+            edge_count += len(edges)
         for forest in walk:
             pre = list(_pre_images(forest, 8))
             leaves = [i2 for i2, row in enumerate(forest) if row.bit_count() == 1]
@@ -503,6 +544,7 @@ def test_pre_images_invert_the_join():
             assert into.get(forest, set()) <= set(pre)
         reached += target.adj in into
     assert reached == 4 + 3  # the protocol tree four times, and three sampled trees
+    assert edge_count == 17934
 
 
 def _first_reached(n: int) -> dict[tuple[int, ...], tuple[int, PbsGate | None]]:
@@ -806,20 +848,39 @@ def _reference_expand(target: Graph, allow_intra: bool, allow_hadamard: bool):
     return expand
 
 
+def _left_out(steps: list, reference: list) -> int | None:
+    """How many steps of reference the engine's steps leave out, when they
+    are reference in order with only duplicates left out: steps whose key
+    a step yielded before them already has. None otherwise."""
+    yielded, left_out, position = set(), 0, 0
+    for step in reference:
+        if position < len(steps) and steps[position] == step:
+            yielded.add(step[1])
+            position += 1
+        elif step[1] in yielded:
+            left_out += 1
+        else:
+            return None
+    return left_out if position == len(steps) else None
+
+
 def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
                         allow_hadamard: bool) -> dict[str, int]:
     """Run the stabilizer search on target with every expand(key) compared
-    to _reference_expand step for step, and with the joins it makes per
-    key compared to the gates across the components of key's graph, read
-    by stabilizers_to_graph (none when the key is not in graph form).
-    Returns the counts of keys expanded, keys in graph form, joins, and
-    keys whose expansion or joins differ."""
+    to _reference_expand step for step, leaving out only duplicates of
+    steps it yielded before, and with the joins it makes per key compared
+    to the gates it yields across the components of key's graph, read by
+    stabilizers_to_graph with the signs dropped (none when the key is not
+    in graph form up to signs). Returns the counts of keys expanded, keys
+    in graph form, joins, steps left out, and keys whose expansion or
+    joins differ."""
     n = target.num_vertices
     reference = _reference_expand(target, allow_intra, allow_hadamard)
-    counts = {"expanded": 0, "graph form": 0, "joins": 0, "mismatched": 0}
+    counts = {"expanded": 0, "graph form": 0, "joins": 0, "left out": 0, "mismatched": 0}
     joined = []
     breadth_first = planner._breadth_first
     join = planner.join_adjacency
+    unsigned = (1 << 2 * n) - 1
 
     def counting_join(adj, i1, i2):
         joined.append((i1, i2))
@@ -830,16 +891,19 @@ def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
             joined.clear()
             steps = list(expand(key))
             rows, parts = key
-            graph = stabilizers_to_graph(StabilizerGroup(n, tuple(_unpack(row, n) for row in rows)))
+            graph = stabilizers_to_graph(StabilizerGroup(n, tuple(_unpack(row & unsigned, n)
+                                                                  for row in rows)))
             expected = []
             if graph is not None:
                 counts["graph form"] += 1
+                gates = {step for step, _key in steps}
                 expected = [(i1, i2) for i1, i2 in itertools.permutations(range(n), 2)
-                            if _separated(graph.adj, i1, i2)
-                            and (allow_intra or not parts[i1] >> i2 & 1)]
+                            if _separated(graph.adj, i1, i2) and PbsGate(i1, i2) in gates]
+            left_out = _left_out(steps, list(reference(key)))
             counts["expanded"] += 1
             counts["joins"] += len(joined)
-            counts["mismatched"] += steps != list(reference(key)) or joined != expected
+            counts["left out"] += left_out or 0
+            counts["mismatched"] += left_out is None or joined != expected
             return steps
 
         return breadth_first(target, roots, checked, is_goal, max_gates, finish, min_gates)
@@ -853,22 +917,24 @@ def _checked_expansions(monkeypatch, target: Graph, allow_intra: bool,
 
 
 def test_join_path_matches_the_tableau_expansion(monkeypatch):
-    """The engine's expand builds the successors of a graph-form key
-    across its components by the join rule, and yields what the tableau
-    yields for every key that the searches of net6, star-4 and the square
-    with a pendant on each corner expand under --allow-intra, and K3,3
-    and path-4 under --allow-hadamard (cluster masks tracked). Star-4
-    finishes from a root, so it expands no key."""
+    """The engine's expand builds the successors of a key in graph form
+    up to signs across its components by the join rule, and yields what
+    the tableau yields, less only duplicates of earlier steps, for every
+    key that the searches of net6, star-4 and the square with a pendant
+    on each corner expand under --allow-intra, and K3,3 and path-4 under
+    --allow-hadamard (cluster masks tracked). Star-4 finishes from a
+    root, so it expands no key."""
     square = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
     expanded = []
-    for target, intra, hadamard, graph_form, joins in (
-        (NET6, True, False, 16, 376), (STAR4, True, False, 0, 0),
-        (square, True, False, 1447, 51328), (K33, False, True, 136, 1320),
-        (PATH4, False, True, 7, 24),
+    for target, intra, hadamard, graph_form, joins, left_out in (
+        (NET6, True, False, 17, 208, 192), (STAR4, True, False, 0, 0, 0),
+        (square, True, False, 2725, 75220, 34380), (K33, False, True, 136, 900, 420),
+        (PATH4, False, True, 7, 12, 12),
     ):
         counts = _checked_expansions(monkeypatch, target, intra, hadamard)
         assert counts["mismatched"] == 0, (target.sorted_edges(), counts)
-        assert (counts["graph form"], counts["joins"]) == (graph_form, joins)
+        assert (counts["graph form"], counts["joins"], counts["left out"]) == (
+            graph_form, joins, left_out)
         expanded.append(counts["expanded"])
     assert expanded == [17, 0, 2725, 217, 13]
 
@@ -889,10 +955,11 @@ def test_join_path_mutations_are_caught(monkeypatch):
 
 
 def test_graph_form_keys_make_no_tableau_gate_attempt(monkeypatch):
-    """net6 under --allow-intra tries 126 gates on the tableau, against
-    489 before gates across the components of graph-form keys took the
-    join rule: those are only the gates within a component and the gates
-    from keys not in graph form."""
+    """net6 under --allow-intra tries 6 gates on the tableau, against 489
+    with every gate on the tableau and 126 with only the gates across the
+    components of unsigned graph-form keys on the join rule: every key it
+    expands is in graph form up to signs, so these are only its gates
+    within a component that is not a lone edge."""
     attempts = []
     postselect = planner._zz_postselect_rows
 
@@ -902,7 +969,69 @@ def test_graph_form_keys_make_no_tableau_gate_attempt(monkeypatch):
 
     monkeypatch.setattr(planner, "_zz_postselect_rows", counting)
     assert brute_force_schedule_search(NET6, allow_intra=True).gate_count() == 3
-    assert len(attempts) == 126
+    assert len(attempts) == 6
+
+
+def _engine_expand(monkeypatch, n: int):
+    """The stabilizer engine's expand on n qubits under --allow-intra (no
+    cluster masks), taken from _breadth_first's arguments without running
+    the search."""
+    captured = []
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_breadth_first", lambda target, roots, expand, *args:
+                      captured.append(expand))
+        planner._search_stabilizer(Graph.from_edges(n, []), True, False, n)
+    return captured[0]
+
+
+def _signed_graph_key(graph: Graph, signs: int) -> tuple:
+    """The key of Z^s|graph>, s_i bit i of signs: the canonical rows of
+    the generators (-1)^s_i X_i Z^adj[i], with no cluster masks."""
+    n = graph.num_vertices
+    generators = tuple(PauliString(n, 1 << i, row, 2 * (signs >> i & 1))
+                       for i, row in enumerate(graph.adj))
+    return _canonical_rows_of(StabilizerGroup(n, generators)), ()
+
+
+def test_graph_rules_match_the_tableau_on_signed_graph_states(monkeypatch):
+    """On 2000 seeded random states Z^s|G> of 2 to 8 qubits, half of G
+    perfect matchings: the gates across two components (rule (a)) and the
+    gates on a lone edge (rule (b)) succeed with probability 1/2 on the
+    tableau, and the engine builds them with no tableau call, yielding
+    the tableau's rows. It leaves out only duplicates of steps it yielded
+    before (rule (c)), and tries on the tableau exactly the other gates."""
+    rng = random.Random(2020)
+    attempts = []
+    postselect = planner._zz_postselect_rows
+    monkeypatch.setattr(planner, "_zz_postselect_rows",
+                        lambda *args: attempts.append(args[2:]) or postselect(*args))
+    expands = {n: _engine_expand(monkeypatch, n) for n in range(2, 9)}
+    counts = {"joins": 0, "lone edges": 0, "left out": 0, "tableau": 0}
+    for k in range(2000):
+        if k % 2:
+            n = rng.choice((2, 4, 6, 8))
+            graph = Graph.from_edges(n, rng.choice(list(_matchings(list(range(n))))))
+        else:
+            n = rng.randrange(2, 9)
+            graph = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < 0.3])
+        key = _signed_graph_key(graph, rng.getrandbits(n))
+        attempts.clear()
+        steps = list(expands[n](key))
+        left_out = _left_out(steps, list(_reference_expand(graph, True, False)(key)))
+        assert left_out is not None, (graph.sorted_edges(), key)
+        adj, ruled = graph.adj, []
+        for i1, i2 in itertools.permutations(range(n), 2):
+            lone = adj[i1] == 1 << i2 and adj[i2] == 1 << i1
+            if lone or _separated(adj, i1, i2):
+                assert _zz_postselect_rows(key[0], n, i1, i2)[0] == 0.5
+                counts["lone edges" if lone else "joins"] += 1
+                ruled.append((i1, i2))
+        assert attempts == [gate for gate in itertools.permutations(range(n), 2)
+                            if gate not in ruled]
+        counts["left out"] += left_out
+        counts["tableau"] += len(attempts)
+    assert counts == {"joins": 27340, "lone edges": 5482, "left out": 2798, "tableau": 15726}
 
 
 # ----- the roots each engine builds, and the stabilizer engine's lower
@@ -987,11 +1116,6 @@ def _search_rewriting_min_gates(monkeypatch, target: Graph, allow_intra: bool,
         sched = brute_force_schedule_search(target, allow_intra=allow_intra,
                                             allow_hadamard=allow_hadamard, max_gates=max_gates)
     return sched, passed
-
-
-# two disjoint triangles, and a 6-vertex forest of a star and an edge
-TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-FOREST2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
 
 
 def _steps(sched: Schedule) -> int:
