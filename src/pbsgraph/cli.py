@@ -316,7 +316,7 @@ def cmd_plan(args) -> int:
                 max_gates=args.max_gates,
             )
             if sched is None:
-                print("no schedule found within the gate limit", file=sys.stderr)
+                print("no schedule found within the step limit (--max-gates)", file=sys.stderr)
                 return 4
             verdict = (
                 f"# found by search: {sched.pair_count()} pairs, {sched.gate_count()} gates"

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import takewhile
 from typing import ClassVar, Generator, Iterator, Union
 
 import numpy as np
@@ -470,20 +471,23 @@ def brute_force_schedule_search(
     with gates on other qubits), so the search runs over gate sequences
     from every perfect matching of the target's vertices. With only
     inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; the search starts from and keeps only forests
-    from which the target can still be reached, found by inverting the
-    join from the target back, so an unreachable tree ends before any
-    expansion, and follows only the joins that walk recorded. Allowing
-    intra-graph gates or bare Hadamards switches to breadth-first search
-    over stabilizer groups, each keyed by its canonical packed rows
-    (pauli's row kernels); each new state is first tried with only the
-    gates onto the target's leaves and the Hadamards, since no other step
-    can finish a graph state, and only once it has enough gates that one
-    more step can reach the target's gate-count lower bound. On a graph
-    state with local Z signs, a gate across two components or on a lone
-    edge is built by a graph rule, which gives the same key as the
-    tableau, and a gate whose key an earlier gate already gave is left
-    out. None of the pruning changes the schedule found. Returns a
+    rewrite rule applies; the search keeps only forests from which the
+    target can still be reached, found by inverting the join from the
+    target back, starts from the perfect matchings that walk reaches, so
+    an unreachable tree ends before any expansion, and follows only the
+    joins that walk recorded. Allowing intra-graph gates or bare
+    Hadamards switches to breadth-first search over stabilizer groups,
+    each keyed by its canonical packed rows (pauli's row kernels); each
+    new state is first tried with only the gates onto the target's leaves
+    and the Hadamards, since no other step can finish a graph state, and
+    only once it has enough gates that one more step can reach the
+    target's gate-count lower bound. The first states it tries, one step
+    short of that bound, are built as each of their parents is found, so
+    the search can stop before it completes the depth of those parents.
+    On a graph state with local Z signs, a gate across two components or
+    on a lone edge is built by a graph rule, which gives the same key as
+    the tableau, and a gate whose key an earlier gate already gave is
+    left out. None of the pruning changes the schedule found. Returns a
     schedule with the fewest search steps, or None if none exists within
     max_gates steps (default: one beyond the tree-building minimum). A
     step is a gate, or a bare Hadamard when allow_hadamard is set, so
@@ -547,6 +551,21 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
     key at d steps is scanned only when d + 1 >= min_gates: from fewer,
     one more step cannot reach the goal, and the scans skipped would find
     nothing. is_goal still checks every key.
+
+    With finish and 2 <= min_gates <= max_gates, the first scanned depth
+    s = min_gates - 1 is built on demand: each key found at depth s - 1 is
+    expanded into depth s at once, and each new key there is scanned as
+    above, so the search can stop before depth s - 1 is complete. This
+    finds the goal and schedule of the layer-by-layer loop. By the bound,
+    no key of fewer than min_gates steps is the goal and none of fewer
+    than min_gates - 1 finishes, so a key of depth s - 1 met first as a
+    depth-s candidate can make no return. It waits in seen with that
+    deeper parent, is not expanded before depth s - 1 is complete, and
+    moves back when depth s - 1 meets it: its seen entry takes the
+    shallower parent and it leaves depth s. Every other key of depth s is
+    met from the same keys of depth s - 1, in the same order, as in the
+    layer-by-layer loop, so depth s, its scan order and every parent
+    that a schedule reads are that loop's.
     """
     seen: dict = {}  # key -> (parent key, gate), or (None, matching) for a root
 
@@ -566,30 +585,65 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
             return goal
         return None
 
-    frontier = [None]  # a virtual root whose successors are the roots
-    for depth in range(max_gates + 1):
-        scan = finish is not None and depth > 0 and depth + 1 >= min_gates
-        next_frontier = []
-        for key in frontier:
-            for step, new_key in roots if key is None else expand(key):
-                if new_key in seen:
+    def grow(parent, successors, layer: dict, scan: bool):
+        """Add each successor not in seen to layer, checked by is_goal and,
+        when scan, by finish; return the goal reached, or None."""
+        for step, key in successors:
+            if key in seen:
+                continue
+            seen[key] = (parent, step)
+            if is_goal(key):
+                return key
+            if scan and (goal := finished(key)) is not None:
+                return goal
+            layer[key] = None
+        return None
+
+    def grow_on_demand(parent, successors, layer: dict, deeper: dict):
+        """grow for the depth before the first scanned one, which is never
+        scanned: each key added is grown into deeper at once, and a
+        successor met there first moves back. (Not a grow that calls
+        itself: a nested function that does is a reference cycle, which
+        keeps seen alive after the search until the collector runs.)"""
+        for step, key in successors:
+            if key in seen:
+                if key not in deeper:
                     continue
-                seen[new_key] = (key, step)
-                if is_goal(new_key):
-                    return reconstruct(new_key)
-                if scan and (goal := finished(new_key)) is not None:
+                del deeper[key]  # met one step too deep first
+            seen[key] = (parent, step)
+            if is_goal(key):
+                return key
+            layer[key] = None
+            if (goal := grow(key, expand(key), deeper, True)) is not None:
+                return goal
+        return None
+
+    frontier = [None]  # a virtual root whose successors are the roots
+    deeper = None
+    for depth in range(max_gates + 1):
+        if deeper is None:
+            scan = finish is not None and depth > 0 and depth + 1 >= min_gates
+            if finish is not None and depth + 2 == min_gates <= max_gates:
+                deeper = {}
+            layer: dict = {}
+            for key in frontier:
+                successors = roots if key is None else expand(key)
+                goal = (grow(key, successors, layer, scan) if deeper is None
+                        else grow_on_demand(key, successors, layer, deeper))
+                if goal is not None:
                     return reconstruct(goal)
-                next_frontier.append(new_key)
-        if not next_frontier:
+        else:
+            layer, deeper = deeper, None  # built on demand with the depth before
+        if not layer:
             return None
         if finish is not None:
             if depth == 0 and max_gates and min_gates <= 1:
-                for key in next_frontier:
+                for key in layer:
                     if (goal := finished(key)) is not None:
                         return reconstruct(goal)
             if depth + 1 == max_gates:
                 return None  # no key of this depth finishes with one more gate
-        frontier = next_frontier
+        frontier = layer
     return None
 
 
@@ -706,8 +760,13 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
         for i1, i2, joined in reaching[adj]:
             yield gates[i1][i2], joined
 
-    roots = ((m, adj) for m in _matchings(list(range(n)))
-             if (adj := _pair_adjacency(m, n)) in reaching)
+    # The roots are the perfect matchings that the walk reached: the
+    # forests of its last layer (n/2 edges, added last) with no isolated
+    # vertex. A target with an isolated vertex or an odd component leaves
+    # other forests there. Sorting the pair lists gives _matchings' order.
+    last_layer = takewhile(lambda adj: sum(map(int.bit_count, adj)) == n, reversed(reaching))
+    roots = sorted(([(a, b.bit_length() - 1) for a, b in enumerate(adj) if b > 1 << a], adj)
+                   for adj in last_layer if all(adj))
     return _breadth_first(target, roots, expand, target.adj.__eq__, depth_needed)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for schedules, the join planner, and the brute-force oracle."""
 
+import contextlib
+import gc
 import itertools
 import random
 import sys
@@ -923,12 +925,13 @@ def test_join_path_matches_the_tableau_expansion(monkeypatch):
     key that the searches of net6, star-4 and the square with a pendant
     on each corner expand under --allow-intra, and K3,3 and path-4 under
     --allow-hadamard (cluster masks tracked). Star-4 finishes from a
-    root, so it expands no key."""
+    root, so it expands no key; net6 and the square stop inside the depth
+    they build on demand."""
     square = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
     expanded = []
     for target, intra, hadamard, graph_form, joins, left_out in (
-        (NET6, True, False, 17, 208, 192), (STAR4, True, False, 0, 0, 0),
-        (square, True, False, 2725, 75220, 34380), (K33, False, True, 136, 900, 420),
+        (NET6, True, False, 3, 40, 24), (STAR4, True, False, 0, 0, 0),
+        (square, True, False, 1108, 28298, 10038), (K33, False, True, 136, 900, 420),
         (PATH4, False, True, 7, 12, 12),
     ):
         counts = _checked_expansions(monkeypatch, target, intra, hadamard)
@@ -936,7 +939,7 @@ def test_join_path_matches_the_tableau_expansion(monkeypatch):
         assert (counts["graph form"], counts["joins"], counts["left out"]) == (
             graph_form, joins, left_out)
         expanded.append(counts["expanded"])
-    assert expanded == [17, 0, 2725, 217, 13]
+    assert expanded == [3, 0, 1108, 217, 13]
 
 
 def test_join_path_mutations_are_caught(monkeypatch):
@@ -1089,6 +1092,65 @@ def test_roots_match_the_validated_reference_roots(monkeypatch):
     assert counts == {"roots": 4927, "kept": 382, "unreachable": 45}
 
 
+def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
+    """The forest engine reads its roots off the backward walk: the
+    perfect matchings among the forests the walk reaches, in the order
+    of _matchings, and it makes no _matchings call. On a seeded
+    relabelling of every tree of 2 to 8 vertices, on forests with an
+    isolated vertex and with 3-vertex components, and on targets that
+    are themselves matchings, the roots are the reference roots filtered
+    by membership in the walk's set. A target whose walk reaches no
+    matching ends with no expansion; the walk of a forest with an
+    isolated vertex or an odd component holds other forests in its last
+    layer, which must not become roots."""
+    rng = random.Random(23)
+    targets = [_relabelled(tree, rng) for n in (2, 4, 6, 8) for tree in _trees(n)]
+    forests = [
+        Graph.from_edges(4, [(0, 1), (1, 2)]),  # 3 isolated
+        Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # 5 isolated
+        Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (6, 7)]),  # 5 isolated
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two 3-vertex paths
+        Graph.from_edges(8, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7)]),  # 3 and 5
+        Graph.from_edges(4, [(0, 3), (1, 2)]),  # matchings
+        Graph.from_edges(8, [(0, 5), (1, 7), (2, 3), (4, 6)]),
+    ]
+    matchings_calls, expanded = [], []
+    breadth_first = planner._breadth_first
+
+    def counting(target, roots, expand, *args):
+        return breadth_first(target, roots, lambda key: expanded.append(key) or expand(key),
+                             *args)
+
+    counts = {"roots": 0, "other forests": 0, "unreachable": 0}
+    for target in targets + forests:
+        n = target.num_vertices
+        reaching = _reaching(target.adj, n, n // 2 - len(target.components()))
+        reference = [(m, adj) for m, adj in _reference_roots(n, _reference_forest_start(n))
+                     if adj in reaching]
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "_matchings", lambda *args: matchings_calls.append(args))
+            roots = _engine_roots(patch, target)
+            patch.setattr(planner, "_breadth_first", counting)
+            expanded.clear()
+            sched = brute_force_schedule_search(target)
+        assert roots == reference, target.sorted_edges()
+        counts["roots"] += len(roots)
+        root_keys = {adj for _m, adj in roots}
+        counts["other forests"] += sum(1 for adj in reaching
+                                       if sum(map(int.bit_count, adj)) == n
+                                       and adj not in root_keys)
+        if not roots:
+            assert sched is None and expanded == [], target.sorted_edges()
+            counts["unreachable"] += 1
+    assert matchings_calls == []
+    for target in forests:
+        if target.num_vertices <= 6:
+            assert brute_force_schedule_search(target) == _reference_search(target)
+    for matching in forests[-2:]:
+        assert brute_force_schedule_search(matching).gate_count() == 0
+    assert counts == {"roots": 207, "other forests": 19, "unreachable": 30}
+
+
 def _gate_lower_bound(target: Graph, allow_hadamard: bool) -> int:
     """n/2 - k gates for a target with k components, one more for a
     target with a cycle when no bare Hadamard is allowed."""
@@ -1174,17 +1236,46 @@ def test_gate_lower_bound_is_sound_and_changes_no_schedule(monkeypatch):
     assert sched is not None and _gate_lower_bound(square, False) == sched.gate_count() == 4
 
 
+@contextlib.contextmanager
+def _captured_seen():
+    """Yield a list that gets the seen parent map of each _breadth_first
+    call, as it stands when the call returns."""
+    captured, code = [], _breadth_first.__code__
+
+    def profile(frame, event, _arg):
+        if event == "return" and frame.f_code is code:
+            captured.append(dict(frame.f_locals["seen"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield captured
+    finally:
+        sys.setprofile(previous)
+
+
 def test_gate_lower_bound_skips_most_net6_scans(monkeypatch):
     """net6 under --allow-intra needs 3 gates, so the search scans only
-    the states with 2: 23 of the 188 it finds, against all 188 with
-    min_gates forced to 0."""
-    _finish, keys, scanned = _engine_finish(monkeypatch, NET6, True, False)
-    with monkeypatch.context() as patch:
-        breadth_first = planner._breadth_first
-        patch.setattr(planner, "_breadth_first", lambda *args: breadth_first(*args[:-1], 0))
-        _finish, unbounded_keys, unbounded = _engine_finish(patch, NET6, True, False)
-    assert keys == unbounded_keys
-    assert (len(keys), len(scanned), len(unbounded)) == (188, 23, 188)
+    the states with 2, and it builds them as it finds each state with 1:
+    it finds 40 states and scans 23, against 188 and 188 with min_gates
+    forced to 0. Every state that it finds, the unbounded search finds
+    with the same parent, and both return the same schedule."""
+    runs = []
+    for rewrite in (lambda m: m, lambda _m: 0):
+        with monkeypatch.context() as patch:
+            breadth_first = planner._breadth_first
+            patch.setattr(planner, "_breadth_first",
+                          lambda *args: breadth_first(*args[:-1], rewrite(args[-1])))
+            _finish, keys, scanned = _engine_finish(patch, NET6, True, False)
+            with _captured_seen() as captured:
+                sched = brute_force_schedule_search(NET6, allow_intra=True)
+        [seen] = captured
+        runs.append((sched, seen, len(keys), len(scanned)))
+    (sched, bounded, *counts), (unbounded_sched, unbounded, *unbounded_counts) = runs
+    assert sched is not None and sched == unbounded_sched
+    assert bounded.items() <= unbounded.items()
+    assert (len(bounded), len(unbounded)) == (41, 189)  # each with the goal
+    assert counts + unbounded_counts == [40, 23, 188, 188]
 
 
 def test_gate_lower_bound_mutations_are_caught(monkeypatch):
@@ -1209,6 +1300,183 @@ def test_gate_lower_bound_mutations_are_caught(monkeypatch):
         if mutant != sched:
             changed.append((target.sorted_edges(), intra, hadamard))
     assert (FOREST2.sorted_edges(), True, False) in changed
+
+
+# ----- the breadth-first skeleton on toy state spaces, against the
+# layer-by-layer loop -----
+
+
+def _reference_breadth_first(target, roots, expand, is_goal, max_gates: int, finish=None,
+                             min_gates: int = 0) -> tuple[Schedule | None, dict]:
+    """_breadth_first built layer by layer: each depth is complete before
+    the next, and each new key is scanned as it joins the frontier.
+    Returns the schedule and the seen parent map."""
+    seen: dict = {}
+
+    def reconstruct(key):
+        steps = []
+        while key is not None:
+            key, step = seen[key]
+            steps.append(step)
+        *gates, matching = steps
+        pairs = [CreatePair(a, b) for a, b in matching]
+        return Schedule(tuple(pairs + gates[::-1]), target=target), seen
+
+    def finished(key):
+        for step, goal in finish(key):
+            seen[goal] = (key, step)
+            return goal
+        return None
+
+    frontier = [None]
+    for depth in range(max_gates + 1):
+        scan = finish is not None and depth > 0 and depth + 1 >= min_gates
+        next_frontier = []
+        for key in frontier:
+            for step, new_key in roots if key is None else expand(key):
+                if new_key in seen:
+                    continue
+                seen[new_key] = (key, step)
+                if is_goal(new_key):
+                    return reconstruct(new_key)
+                if scan and (goal := finished(new_key)) is not None:
+                    return reconstruct(goal)
+                next_frontier.append(new_key)
+        if not next_frontier:
+            return None, seen
+        if finish is not None:
+            if depth == 0 and max_gates and min_gates <= 1:
+                for key in next_frontier:
+                    if (goal := finished(key)) is not None:
+                        return reconstruct(goal)
+            if depth + 1 == max_gates:
+                return None, seen
+        frontier = next_frontier
+    return None, seen
+
+
+_TOY_STEPS = [PbsGate(i1, i2) for i1, i2 in itertools.permutations(range(4), 2)]
+
+# Roots 0 and 1 at depth 0; 2, 3 and 4 at depth 1; 5, 6 and 7 at 2; 8, 9
+# and 10 at 3; 11 at 4. Key 4 is a successor of root 1 and of key 2, so a
+# search that expands 2 as soon as it finds it meets 4 first at depth 2.
+_TOY = {0: [2, 3], 1: [4, 2], 2: [4, 5], 3: [6], 4: [7, 6], 5: [8], 6: [9], 7: [9, 10],
+        8: [11], 9: [11], 10: [11]}
+
+
+def _toy_space(successors: dict[int, list[int]], roots: list[int], goals: set[int]):
+    """(roots, expand, is_goal, finish) of a state space on int keys: key
+    k leads to successors[k] in order, its j-th successor by the j-th toy
+    step, and root i starts from the (i mod 3)-th 4-vertex matching."""
+    matchings = list(_matchings(list(range(4))))
+
+    def expand(key):
+        return zip(_TOY_STEPS, successors.get(key, ()))
+
+    def finish(key):
+        return ((step, new) for step, new in expand(key) if new in goals)
+
+    return ([(matchings[i % 3], key) for i, key in enumerate(roots)], expand,
+            goals.__contains__, finish)
+
+
+def _toy_depths(successors: dict[int, list[int]], roots: list[int]) -> dict[int, int]:
+    """The fewest steps from a root to each key, in breadth-first order."""
+    depths = dict.fromkeys(roots, 0)
+    order = list(depths)
+    for key in order:
+        for new in successors.get(key, ()):
+            if new not in depths:
+                depths[new] = depths[key] + 1
+                order.append(new)
+    return depths
+
+
+def _assert_toy_searches_agree(successors: dict[int, list[int]], roots: list[int],
+                               goals: set[int]) -> int:
+    """Run _breadth_first and the layer-by-layer reference on the toy
+    space at every cap from 0 to 6 and every min_gates from 0 to 4 that
+    is a lower bound on the steps to a goal, with and without finish.
+    The schedules must be equal. A search that ends with no schedule has
+    the reference's whole seen map; one that returns has a subset of it,
+    where only a key of depth min_gates - 2, met one step too deep and
+    not yet moved back, may have another parent. Returns the number of
+    bounds under which a key of depth min_gates - 2 is a successor of an
+    earlier key of that depth, so that the search meets it one step too
+    deep first."""
+    depths = _toy_depths(successors, roots)
+    closest = min((depths[goal] for goal in goals if goal in depths), default=4)
+    roots_, expand, is_goal, finish = _toy_space(successors, roots, goals)
+    met_deep = 0
+    for min_gates in range(min(closest, 4) + 1):
+        for max_gates in range(7):
+            for finish_ in (finish, None):
+                args = (None, roots_, expand, is_goal, max_gates, finish_, min_gates)
+                with _captured_seen() as captured:
+                    sched = _breadth_first(*args)
+                [seen] = captured
+                expected, reference = _reference_breadth_first(*args)
+                case = (successors, roots, goals, min_gates, max_gates, finish_ is not None)
+                assert sched == expected, case
+                if expected is None:
+                    assert seen == reference, case
+                    continue
+                moved = {key for key in seen if seen[key] != reference.get(key, ())}
+                assert all(depths[key] == min_gates - 2 for key in moved), case
+                assert seen.keys() <= reference.keys(), case
+        order = [key for key in depths if depths[key] == min_gates - 2]
+        met_deep += any(later in successors.get(key, ())
+                        for i, key in enumerate(order) for later in order[i + 1:])
+    return met_deep
+
+
+def test_on_demand_depth_matches_the_layer_by_layer_loop():
+    """With finish and 2 <= min_gates <= max_gates, _breadth_first builds
+    the first scanned depth min_gates - 1 as it finds each key of the
+    depth before, and returns the schedule and the parents of the
+    layer-by-layer loop. On the hand-written space, at min_gates 3, the
+    search expands key 2 before root 1, meets key 4 from 2 one step too
+    deep, and moves it back: the goal 10 lies only beyond 4, and with no
+    goal the whole seen map is compared. Seeded random spaces add caps
+    and bounds on both sides of the first scanned depth."""
+    expanded = []
+    roots, expand, is_goal, finish = _toy_space(_TOY, [0, 1], {10})
+
+    def recording(key):
+        expanded.append(key)
+        return expand(key)
+
+    sched = _breadth_first(None, roots, recording, is_goal, 6, finish, 3)
+    assert expanded == [0, 2, 3, 1, 4]
+    assert [ins for ins in sched.instructions if isinstance(ins, PbsGate)] == [
+        _TOY_STEPS[0], _TOY_STEPS[0], _TOY_STEPS[1]]  # 1 -> 4 -> 7 -> 10
+    met_deep = sum(_assert_toy_searches_agree(_TOY, [0, 1], goals)
+                   for goals in ({9}, {10}, {11}, set()))
+    rng = random.Random(21)
+    for _ in range(40):
+        successors = {key: rng.sample(range(16), rng.randrange(4)) for key in range(16)}
+        met_deep += _assert_toy_searches_agree(successors, rng.sample(range(16), rng.randint(1, 3)),
+                                               set(rng.sample(range(16), rng.randrange(3))))
+    assert met_deep == 17
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """A search frees its state as it returns, with no reference cycle
+    left for the collector: net6 under --allow-intra, which builds a
+    depth on demand, net6 with both flags, an unreachable tree, and the
+    protocol tree on the forest engine."""
+    searches = [(NET6, True, False), (NET6, True, True), (PATH4, False, False),
+                (plan_tree_protocol(2).target, False, False)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for target, intra, hadamard in searches:
+            brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _random_mixed_schedule(rng: random.Random) -> tuple[Schedule, int]:
