@@ -5,20 +5,18 @@ that builds a caterpillar tree out of Bell pairs, measuring every qubit
 as soon as no later gate touches it. plan_join_sequence decides exactly
 which trees the inter-graph fusion rule can reach and reconstructs a
 gate sequence when one exists. brute_force_schedule_search is the
-independent oracle: a breadth-first sweep over all schedules on at most
-eight qubits, either on labeled forests held as adjacency masks
-(inter-graph gates only) or on stabilizer groups held as tuples of
-canonical packed rows (when intra-graph gates or extra Hadamards are
-allowed; on a graph state with local Z signs, a gate across two
-components or on a lone edge takes a graph rule there too, and a gate
-that only repeats an earlier successor is left out). Each engine builds
-its roots, the Bell pairs on each perfect matching, straight from the
-matching as masks or graph rows. Both are goal-directed without changing
-which schedule they find: the forest search starts from and keeps only
-forests that a backward walk from the target reaches, and follows only
-the joins that walk recorded; the stabilizer search tries on each new
-state, as soon as it is found, only the steps that can finish the
-target, so its last expansion stops at the first state that finishes.
+independent oracle over all schedules on at most eight qubits. With
+inter-graph gates only, it walks greedily from the pairs through the
+labeled forests, held as adjacency masks, that a backward walk from the
+target reaches: this gives the breadth-first sweep's schedule with no
+breadth-first search. Otherwise it searches breadth-first over
+stabilizer groups held as tuples of canonical packed rows, from the
+Bell pairs on each perfect matching as graph rows; on a graph state
+with local Z signs, a gate across two components or on a lone edge
+takes a graph rule, and a gate that only repeats an earlier successor
+is left out. It tries each new state, as soon as it is found, with only
+the steps that can finish the target, so its last expansion stops at
+the first state that finishes, and no schedule changes.
 That scan builds no successor: it tests whether the step's result is the
 goal by stabilizer membership, row by row, and it is skipped on states
 with too few gates to finish: a target with k components takes at least
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import takewhile
 from typing import ClassVar, Generator, Iterator, Union
 
 import numpy as np
@@ -465,17 +462,18 @@ def brute_force_schedule_search(
     allow_hadamard: bool = False,
     max_gates: int | None = None,
 ) -> Schedule | None:
-    """Breadth-first schedule oracle for small targets.
+    """Schedule oracle for small targets: the schedule that a
+    breadth-first search over all schedules finds first.
 
     Every schedule normalizes to pair creations first (creations commute
     with gates on other qubits), so the search runs over gate sequences
     from every perfect matching of the target's vertices. With only
     inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; the search keeps only forests from which the
-    target can still be reached, found by inverting the join from the
-    target back, starts from the perfect matchings that walk reaches, so
-    an unreachable tree ends before any expansion, and follows only the
-    joins that walk recorded. Allowing intra-graph gates or bare
+    rewrite rule applies; inverting the join from the target back gives
+    the forests from which it can still be reached, and a greedy walk
+    through them from the least matching among them, taking the first
+    join into them at each step, finds the search's schedule with no
+    breadth-first search. Allowing intra-graph gates or bare
     Hadamards switches to breadth-first search over stabilizer groups,
     each keyed by its canonical packed rows (pauli's row kernels); each
     new state is first tried with only the gates onto the target's leaves
@@ -526,24 +524,23 @@ def _matchings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
 
 
 def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
-                   finish=None, min_gates: int = 0) -> Schedule | None:
-    """Breadth-first search shared by both engines.
+                   finish, min_gates: int) -> Schedule | None:
+    """Breadth-first search of the stabilizer engine.
 
     roots yields (matching, key) for the perfect matchings of the
     target's vertices that the engine starts from, each key the state of
-    the Bell pairs on that matching; an engine may leave out a root that
-    cannot lead to the goal. expand(key) yields (gate, key) for each
-    successor in a fixed order, so ties always break the same way. A key
-    is visited once, and the first key that satisfies is_goal is reached
-    by a schedule with the fewest gates. The search ends at max_gates
-    gates or as soon as a depth finds no new key.
+    the Bell pairs on that matching. expand(key) yields (gate, key) for
+    each successor in a fixed order, so ties always break the same way.
+    A key is visited once, and the first key that satisfies is_goal is
+    reached by a schedule with the fewest gates. The search ends at
+    max_gates gates or as soon as a depth finds no new key.
 
-    finish(key), when given, yields (step, goal key) for exactly the
-    successors of expand(key) that satisfy is_goal, in expand's order,
-    without having to build the others. Each new key is then scanned with
-    finish as soon as it joins the frontier (the roots together, once
-    every root is checked by is_goal, so a root that is the goal wins),
-    and no key at max_gates - 1 gates is expanded. The keys are scanned in
+    finish(key) yields (step, goal key) for exactly the successors of
+    expand(key) that satisfy is_goal, in expand's order, without having
+    to build the others. Each new key is scanned with finish as soon as
+    it joins the frontier (the roots together, once every root is
+    checked by is_goal, so a root that is the goal wins), and no key at
+    max_gates - 1 gates is expanded. The keys are scanned in
     frontier order, and a full expansion of a scanned key reaches no goal
     first, so the goal found and its schedule are the same; the last
     expansion just stops at the first key that finishes. min_gates is a
@@ -552,7 +549,7 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
     one more step cannot reach the goal, and the scans skipped would find
     nothing. is_goal still checks every key.
 
-    With finish and 2 <= min_gates <= max_gates, the first scanned depth
+    With 2 <= min_gates <= max_gates, the first scanned depth
     s = min_gates - 1 is built on demand: each key found at depth s - 1 is
     expanded into depth s at once, and each new key there is scanned as
     above, so the search can stop before depth s - 1 is complete. This
@@ -622,8 +619,8 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
     deeper = None
     for depth in range(max_gates + 1):
         if deeper is None:
-            scan = finish is not None and depth > 0 and depth + 1 >= min_gates
-            if finish is not None and depth + 2 == min_gates <= max_gates:
+            scan = depth > 0 and depth + 1 >= min_gates
+            if depth + 2 == min_gates <= max_gates:
                 deeper = {}
             layer: dict = {}
             for key in frontier:
@@ -636,13 +633,12 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
             layer, deeper = deeper, None  # built on demand with the depth before
         if not layer:
             return None
-        if finish is not None:
-            if depth == 0 and max_gates and min_gates <= 1:
-                for key in layer:
-                    if (goal := finished(key)) is not None:
-                        return reconstruct(goal)
-            if depth + 1 == max_gates:
-                return None  # no key of this depth finishes with one more gate
+        if depth == 0 and max_gates and min_gates <= 1:
+            for key in layer:
+                if (goal := finished(key)) is not None:
+                    return reconstruct(goal)
+        if depth + 1 == max_gates:
+            return None  # no key of this depth finishes with one more gate
         frontier = layer
     return None
 
@@ -674,39 +670,33 @@ def _pre_images(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, tuple[
 
 
 def _reaching(target: tuple[int, ...], n: int,
-              joins: int) -> dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]]:
-    """Every forest P a schedule can build that reaches the target in at
+              joins: int) -> tuple[set[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every forest a schedule can build that reaches the target in at
     most `joins` joins, found by walking back from the target one join at
-    a time (the backward half of a bidirectional search, Pohl 1971), each
-    mapped to its edges: every (i1, i2, F), in sorted order, with i1 and
-    i2 in different components of P, join_adjacency(P, i1, i2) == F and F
-    in the set. Pre-images that isolate i1 or i2 (the full and the empty
-    subset) are dropped: the pairs isolate no vertex and no join isolates
-    one, so no schedule builds them, and a pre-image keeps every isolated
-    vertex isolated, so nothing walked back from them is built either.
+    a time (the backward half of a bidirectional search, Pohl 1971), and
+    the walk's last layer. Pre-images that isolate i1 or i2 (the full and
+    the empty subset) are dropped: the pairs isolate no vertex and no join
+    isolates one, so no schedule builds them, and a pre-image keeps every
+    isolated vertex isolated, so nothing walked back from them is built.
 
-    The edges are complete. A join across components merges two of them,
-    so the walk's layers hold forests of k, k + 1, ... components, k the
-    target's, and every join from P lands in the layer one nearer the
-    target, which the walk has already expanded. _pre_images lists every
-    separated (i1, i2, E) that joins into a forest, so the walk records
-    each join from P into the set as the pre-image (i1, i2, P) of where it
-    lands."""
-    reaching: dict = {target: []}
+    For a forest target, each member but the target was added as a
+    pre-image of a member, which _pre_images separates, so it has a join
+    into the set. A join across components merges two of them, so the
+    walk's layers hold forests of k, k + 1, ... components, k the
+    target's, and a join from a member lands one layer nearer the target.
+    A target with a cycle has no perfect matching in its set: a join adds
+    at most one edge, so n/2 - k of them leave the pairs n - k at most."""
+    reaching = {target}
     layer = [target]
     for _ in range(joins):
         next_layer = []
         for joined in layer:
             for i1, i2, pre in _pre_images(joined, n):
-                if pre[i1] and pre[i2]:
-                    if pre not in reaching:
-                        reaching[pre] = []
-                        next_layer.append(pre)
-                    reaching[pre].append((i1, i2, joined))
+                if pre[i1] and pre[i2] and pre not in reaching:
+                    reaching.add(pre)
+                    next_layer.append(pre)
         layer = next_layer
-    for edges in reaching.values():
-        edges.sort()  # (i1, i2) fixes the forest joined into
-    return reaching
+    return reaching, layer
 
 
 def _outside_masks(adj: tuple[int, ...], n: int) -> list[int]:
@@ -739,35 +729,37 @@ def _pair_adjacency(matching: list[tuple[int, int]], n: int) -> tuple[int, ...]:
 
 
 def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
-    """Search over labeled forests, each keyed by its adjacency masks,
-    forward from the pairs and only through forests that can still reach
-    the target. A state outside that set has no path to the target, and
-    every path to it runs through states inside, so the schedule found is
-    the one the unpruned sweep finds. expand yields a forest's edges as
-    the backward walk recorded them, which are exactly its joins into the
-    set, in the order of the unpruned sweep."""
+    """Search over labeled forests, each keyed by its adjacency masks: a
+    greedy walk forward from the pairs through the backward set, which
+    finds the schedule of the unpruned breadth-first sweep. A forest
+    outside the set cannot reach the target. In the set, each forest but
+    the target has a join into the set, and each join lands one layer
+    nearer the target, never on a forest already seen (_reaching). So the
+    sweep's first forest at each depth is the first successor in the set
+    of its first forest one depth up, and the target is the only forest
+    at the last depth."""
     n = target.num_vertices
     # Each join merges two components, so the n/2 pairs reach a target of
     # k components in exactly n/2 - k joins; deeper search cannot help.
     depth_needed = n // 2 - len(component_masks(target.adj, (1 << n) - 1))
     if depth_needed > max_gates:
         return None
-    # Prebuilt gates: building one per successor costs about half a join.
-    gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
-    reaching = _reaching(target.adj, n, depth_needed)
-
-    def expand(adj: tuple[int, ...]):
-        for i1, i2, joined in reaching[adj]:
-            yield gates[i1][i2], joined
-
-    # The roots are the perfect matchings that the walk reached: the
-    # forests of its last layer (n/2 edges, added last) with no isolated
-    # vertex. A target with an isolated vertex or an odd component leaves
-    # other forests there. Sorting the pair lists gives _matchings' order.
-    last_layer = takewhile(lambda adj: sum(map(int.bit_count, adj)) == n, reversed(reaching))
-    roots = sorted(([(a, b.bit_length() - 1) for a, b in enumerate(adj) if b > 1 << a], adj)
-                   for adj in last_layer if all(adj))
-    return _breadth_first(target, roots, expand, target.adj.__eq__, depth_needed)
+    reaching, last_layer = _reaching(target.adj, n, depth_needed)
+    # The sweep's first root: of the perfect matchings in the last layer,
+    # the least sorted pair list (_matchings' order). A target with an
+    # isolated vertex, an odd component or a cycle leaves other graphs.
+    root = min((([(a, b.bit_length() - 1) for a, b in enumerate(adj) if b > 1 << a], adj)
+                for adj in last_layer if all(b.bit_count() == 1 for b in adj)), default=None)
+    if root is None:
+        return None
+    matching, adj = root
+    gates = []
+    for _ in range(depth_needed):  # the first join (i1, i2) into the set
+        outside = _outside_masks(adj, n)
+        i1, i2, adj = next((i1, i2, joined) for i1 in range(n) for i2 in bits(outside[i1])
+                           if (joined := join_adjacency(adj, i1, i2)) in reaching)
+        gates.append(PbsGate(i1, i2))
+    return Schedule(tuple([CreatePair(a, b) for a, b in matching] + gates), target=target)
 
 
 def _search_stabilizer(
@@ -800,8 +792,9 @@ def _search_stabilizer(
 
     The scan runs only on states with at least min_gates - 1 steps, where
     min_gates lower-bounds the gates of any schedule that builds the
-    target. The n/2 pairs start as n/2 interaction clusters, and a gate
-    acts on two qubits, so it merges at most two clusters. Each connected
+    target; a cap below it returns None at once. The n/2 pairs start as
+    n/2 interaction clusters, and a gate acts on two qubits, so it merges
+    at most two clusters. Each connected
     component of a graph state is entangled across every cut, so it lies
     in one cluster, and a target with k components leaves at most k
     clusters: it takes at least n/2 - k gates. With exactly n/2 - k, every
@@ -841,10 +834,16 @@ def _search_stabilizer(
     The rows of (a) and (b) are already fully reduced, so each key is
     the tableau's. Every other step runs on the tableau."""
     n = target.num_vertices
+    everyone = (1 << n) - 1
+    k = len(component_masks(target.adj, everyone))  # min_gates: see the docstring
+    min_gates = n // 2 - k
+    if not allow_hadamard and sum(map(int.bit_count, target.adj)) != 2 * (n - k):
+        min_gates += 1  # a cycle
+    if min_gates > max_gates:
+        return None
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     hadamards = [Hadamard(q) for q in range(n)]
-    everyone = (1 << n) - 1
 
     goal = _canonical_rows_of(graph_to_stabilizers(target))
     every_gate = [(i1, i2) for i1 in range(n) for i2 in range(n) if i1 != i2]
@@ -932,10 +931,6 @@ def _search_stabilizer(
             parts = tuple(a | 1 << q for q, a in enumerate(adj)) if track_parts else ()
             yield m, (_graph_rows(adj, n), parts)
 
-    k = len(component_masks(target.adj, everyone))  # min_gates: see the docstring
-    min_gates = n // 2 - k
-    if not allow_hadamard and sum(map(int.bit_count, target.adj)) != 2 * (n - k):
-        min_gates += 1  # a cycle
     return _breadth_first(target, roots(), expand, lambda key: key[0] == goal, max_gates,
                           finish, min_gates)
 

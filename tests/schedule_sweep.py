@@ -5,7 +5,7 @@ schedule text (or None) that brute_force_schedule_search returns, or,
 for a CLI record, the exit code, stdout and stderr of `plan --brute-force`
 and of `verify --oracle` on its schedule, and the schedule file. Run one
 copy of it against the src of each of two commits and compare the
-outputs; a planner change that keeps every schedule prints the same 1898
+outputs; a planner change that keeps every schedule prints the same 2004
 lines:
 
     PYTHONPATH=src python3 tests/schedule_sweep.py > change.txt
@@ -93,7 +93,7 @@ def _forests(rng: random.Random):
 
 
 def search_cases():
-    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1706
+    """(label, target, allow_intra, allow_hadamard, max_gates) for the 1812
     search records."""
     rng = random.Random(1778)
     for n in range(2, 9):
@@ -144,6 +144,9 @@ def search_cases():
         net6 = _relabelled(NET6, rng)
         for cap in (2, 3, 4):
             yield "net6", net6, True, False, cap
+    # the 106 ten-vertex trees, past the default cap of 8 qubits
+    for tree in _trees(10):
+        yield "ten-vertex tree", tree, False, False, None
 
 
 def main() -> int:
@@ -162,8 +165,8 @@ def main() -> int:
                 print(digest, f"cli seed {seed} target {i} {target.kind}")
                 records += 1
     for label, target, intra, hadamard, cap in search_cases():
-        sched = brute_force_schedule_search(target, allow_intra=intra, allow_hadamard=hadamard,
-                                            max_gates=cap)
+        sched = brute_force_schedule_search(target, max_qubits=10, allow_intra=intra,
+                                            allow_hadamard=hadamard, max_gates=cap)
         digest = _digest(None if sched is None else schedule_text(sched))
         print(digest, f"{label} {target.sorted_edges()}{FLAGS[intra, hadamard]} --max-gates {cap}")
         records += 1

@@ -325,8 +325,8 @@ def _reference_search_forest(target: Graph, max_gates: int) -> Schedule | None:
             for i2 in bits(outside[i1]):
                 yield gates[i1][i2], join_adjacency(adj, i1, i2)
 
-    return _breadth_first(target, _reference_roots(n, _reference_forest_start(n)), expand,
-                          target.adj.__eq__, min(max_gates, n // 2 - 1))
+    return _reference_breadth_first(target, _reference_roots(n, _reference_forest_start(n)),
+                                    expand, target.adj.__eq__, min(max_gates, n // 2 - 1))[0]
 
 
 def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamard: bool,
@@ -359,8 +359,8 @@ def _reference_search_stabilizer(target: Graph, allow_intra: bool, allow_hadamar
             for q in range(n):
                 yield Hadamard(q), (group.apply_hadamard(q).canonical_form(), parts)
 
-    return _breadth_first(target, _reference_roots(n, start), expand,
-                          lambda key: key[0] == goal, max_gates)
+    return _reference_breadth_first(target, _reference_roots(n, start), expand,
+                                    lambda key: key[0] == goal, max_gates)[0]
 
 
 def _labelled_graphs(n: int):
@@ -386,9 +386,12 @@ def _assert_same_schedules(cases, max_gates: int | None = None) -> int:
 
 
 def test_forest_search_matches_unpruned_reference():
-    """Pruning by the backward set changes no schedule: the 47 trees with 2 to
-    8 vertices, seeded relabellings of the 6-vertex ones, and every
-    labelled 4-vertex graph."""
+    """The greedy walk through the backward set finds the schedule of the
+    unpruned breadth-first sweep: the 47 trees with 2 to 8 vertices,
+    seeded relabellings of the 6-vertex ones, the protocol tree and
+    seeded relabellings of it and of the three reachable 8-vertex trees,
+    whose ties between roots and between joins the walk must break as
+    the sweep does, and every labelled 4-vertex graph."""
     trees = [(tree, False, False) for n in range(2, 9) for tree in _trees(n)]
     assert len(trees) == 47
     assert _assert_same_schedules(trees) == 7
@@ -400,8 +403,33 @@ def test_forest_search_matches_unpruned_reference():
             graph = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in tree.sorted_edges()])
             relabelled.append((graph, False, False))
     assert _assert_same_schedules(relabelled) == 4 * 2  # two of the six trees are reachable
+    protocol = plan_tree_protocol(2).target
+    reachable = [tree for tree in _trees(8) if plan_join_sequence(tree) is not None]
+    assert len(reachable) == 3
+    rng = random.Random(88)
+    relabelled = [(protocol, False, False)] + [(_relabelled(tree, rng), False, False)
+                                               for tree in reachable + [protocol] for _ in range(4)]
+    assert _assert_same_schedules(relabelled) == 17
     graphs4 = [(graph, False, False) for graph in _labelled_graphs(4)]
     assert _assert_same_schedules(graphs4) == 7  # the four stars and three matchings
+
+
+def test_forest_engine_makes_no_breadth_first_call(monkeypatch):
+    """The forest engine walks the backward set with no breadth-first
+    search: with _breadth_first made to raise, the 47 trees of 2 to 8
+    vertices still get their verdicts, and the 7 reachable ones build
+    their targets."""
+    def raising(*args):
+        raise AssertionError("the forest engine called _breadth_first")
+
+    monkeypatch.setattr(planner, "_breadth_first", raising)
+    trees = [tree for n in range(2, 9) for tree in _trees(n)]
+    found = [(tree, brute_force_schedule_search(tree)) for tree in trees]
+    assert len(found) == 47
+    reached = [(tree, sched) for tree, sched in found if sched is not None]
+    assert len(reached) == 7
+    for tree, sched in reached:
+        assert execute_schedule(sched)[2] == tree
 
 
 def test_forest_search_depth_counts_target_components():
@@ -503,9 +531,10 @@ def test_pre_images_invert_the_join():
     forward sweep into the backward set starts at one of its pre-images,
     and each pre-image joins back from separate components. _reaching's
     forests are the unpruned backward walk without the forests that
-    isolate a vertex, which no schedule builds, and each forest's recorded
-    edges are, in order, every join across its components that lands in
-    the set."""
+    isolate a vertex, which no schedule builds; its last layer is the set's
+    forests farthest from the target; and every forest but the target has
+    a join across its components that lands in the set, which the greedy
+    walk of the forest engine takes."""
     graphs = [g.adj for g in _labelled_graphs(4)]
     inverse: dict[tuple, list] = {}
     for adj in graphs:
@@ -527,14 +556,18 @@ def test_pre_images_invert_the_join():
     edge_count = 0
     for target in [protocol] + [_relabelled(tree, rng) for tree in trees[1:]]:
         walk = _reference_reaching(target.adj, 8, 3)
-        reaching = _reaching(target.adj, 8, 3)
-        assert set(reaching) == {forest for forest in walk if all(forest)}
-        for forest, edges in reaching.items():
-            # sound (each edge a join across components) and complete, in order
+        reaching, last_layer = _reaching(target.adj, 8, 3)
+        assert reaching == {forest for forest in walk if all(forest)}
+        assert len(set(last_layer)) == len(last_layer)
+        assert set(last_layer) == {forest for forest in reaching
+                                   if len(component_masks(forest, 255)) == 4}
+        for forest in reaching:
+            # every join across components into the set: none from the
+            # target, at least one from every other forest
             comp = {v: c for c in component_masks(forest, 255) for v in bits(c)}
-            assert edges == [(i1, i2, joined) for i1, i2 in itertools.permutations(range(8), 2)
-                             if comp[i1] != comp[i2]
-                             and (joined := join_adjacency(forest, i1, i2)) in reaching]
+            edges = [(i1, i2) for i1, i2 in itertools.permutations(range(8), 2)
+                     if comp[i1] != comp[i2] and join_adjacency(forest, i1, i2) in reaching]
+            assert bool(edges) == (forest != target.adj), (target.sorted_edges(), forest)
             edge_count += len(edges)
         for forest in walk:
             pre = list(_pre_images(forest, 8))
@@ -643,6 +676,22 @@ def test_leafless_targets_make_no_gate_attempt(monkeypatch):
     assert attempts == []
     assert brute_force_schedule_search(NET6, allow_intra=True) is not None
     assert 0 < len(attempts) < 5514 // 2
+
+
+def test_cap_below_the_gate_bound_makes_no_gate_attempt(monkeypatch):
+    """A gate cap below the stabilizer engine's lower bound on the gates
+    returns None at once: net6 under --allow-intra needs 3 gates, so at
+    a cap of 2 it tries no gate on the tableau and starts no search."""
+    attempts, searches = [], []
+    postselect, breadth_first = planner._zz_postselect_rows, planner._breadth_first
+    monkeypatch.setattr(planner, "_zz_postselect_rows",
+                        lambda *args: attempts.append(args[2:]) or postselect(*args))
+    monkeypatch.setattr(planner, "_breadth_first",
+                        lambda *args: searches.append(args[4:]) or breadth_first(*args))
+    assert brute_force_schedule_search(NET6, allow_intra=True, max_gates=2) is None
+    assert attempts == [] and searches == []
+    assert brute_force_schedule_search(NET6, allow_intra=True, max_gates=3) is not None
+    assert len(attempts) == 6 and len(searches) == 1
 
 
 def _merged(parts: tuple[int, ...], i1: int, i2: int) -> tuple[int, ...]:
@@ -1043,8 +1092,16 @@ def test_graph_rules_match_the_tableau_on_signed_graph_states(monkeypatch):
 
 def _engine_roots(monkeypatch, target: Graph, allow_intra: bool = False,
                   allow_hadamard: bool = False) -> list:
-    """The (matching, key) roots that the engine passes to _breadth_first
-    for target, without running the search."""
+    """The (matching, key) roots of the engine for target: those that the
+    stabilizer engine passes to _breadth_first, without running the
+    search, or the one root that the forest engine walks from, read off
+    the pairs of its schedule (none when it finds no schedule)."""
+    if not (allow_intra or allow_hadamard):
+        sched = brute_force_schedule_search(target)
+        if sched is None:
+            return []
+        matching = [ins.qubits for ins in sched.instructions if isinstance(ins, CreatePair)]
+        return [(matching, Graph.from_edges(target.num_vertices, matching).adj)]
     captured = []
 
     def capturing(target, roots, *args, **kwargs):
@@ -1062,10 +1119,10 @@ def test_roots_match_the_validated_reference_roots(monkeypatch):
     perfect matching on 2 to 8 vertices, the pairs' adjacency is the
     validated Graph's and the stabilizer engine's key, cluster masks
     included, is the canonical rows of its graph state. The forest engine
-    passes exactly the reference roots that lie in the backward set from
-    the target, in order: every tree with an even number of vertices and
+    walks from the first reference root that lies in the backward set
+    from the target: every tree with an even number of vertices and
     seeded relabellings of the 8-vertex ones. An unreachable tree has no
-    such root, so its search ends at the empty first depth."""
+    such root, so its search ends before any join."""
     for n in (2, 4, 6, 8):
         target = Graph.from_edges(n, [(0, v) for v in range(1, n)])
         for m in _matchings(list(range(n))):
@@ -1080,29 +1137,29 @@ def test_roots_match_the_validated_reference_roots(monkeypatch):
     counts = {"roots": 0, "kept": 0, "unreachable": 0}
     for tree in trees:
         n = tree.num_vertices
-        reaching = _reaching(tree.adj, n, n // 2 - 1)
+        reaching, _last_layer = _reaching(tree.adj, n, n // 2 - 1)
         reference = list(_reference_roots(n, _reference_forest_start(n)))
         roots = _engine_roots(monkeypatch, tree)
-        assert roots == [(m, adj) for m, adj in reference if adj in reaching], tree.sorted_edges()
+        assert roots == [(m, adj) for m, adj in reference if adj in reaching][:1], (
+            tree.sorted_edges())
         counts["roots"] += len(reference)
         counts["kept"] += len(roots)
         if not roots:
             assert plan_join_sequence(tree) is None
             counts["unreachable"] += 1
-    assert counts == {"roots": 4927, "kept": 382, "unreachable": 45}
+    assert counts == {"roots": 4927, "kept": 10, "unreachable": 45}
 
 
 def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
-    """The forest engine reads its roots off the backward walk: the
-    perfect matchings among the forests the walk reaches, in the order
-    of _matchings, and it makes no _matchings call. On a seeded
-    relabelling of every tree of 2 to 8 vertices, on forests with an
-    isolated vertex and with 3-vertex components, and on targets that
-    are themselves matchings, the roots are the reference roots filtered
-    by membership in the walk's set. A target whose walk reaches no
-    matching ends with no expansion; the walk of a forest with an
-    isolated vertex or an odd component holds other forests in its last
-    layer, which must not become roots."""
+    """The forest engine reads its root off the backward walk: the least
+    perfect matching, in the order of _matchings, in the walk's last
+    layer, and it makes no _matchings call. On a seeded relabelling of
+    every tree of 2 to 8 vertices, on forests with an isolated vertex and
+    with 3-vertex components, and on targets that are themselves
+    matchings, the root is the first reference root in the walk's set. A
+    target whose walk reaches no matching ends with no join; the last
+    layer of the walk of a forest with an isolated vertex or an odd
+    component holds other forests, which must not become roots."""
     rng = random.Random(23)
     targets = [_relabelled(tree, rng) for n in (2, 4, 6, 8) for tree in _trees(n)]
     forests = [
@@ -1114,33 +1171,24 @@ def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
         Graph.from_edges(4, [(0, 3), (1, 2)]),  # matchings
         Graph.from_edges(8, [(0, 5), (1, 7), (2, 3), (4, 6)]),
     ]
-    matchings_calls, expanded = [], []
-    breadth_first = planner._breadth_first
-
-    def counting(target, roots, expand, *args):
-        return breadth_first(target, roots, lambda key: expanded.append(key) or expand(key),
-                             *args)
-
+    matchings_calls, joins = [], []
+    join = planner.join_adjacency
     counts = {"roots": 0, "other forests": 0, "unreachable": 0}
     for target in targets + forests:
         n = target.num_vertices
-        reaching = _reaching(target.adj, n, n // 2 - len(target.components()))
+        reaching, last_layer = _reaching(target.adj, n, n // 2 - len(target.components()))
         reference = [(m, adj) for m, adj in _reference_roots(n, _reference_forest_start(n))
-                     if adj in reaching]
+                     if adj in reaching][:1]
         with monkeypatch.context() as patch:
             patch.setattr(planner, "_matchings", lambda *args: matchings_calls.append(args))
+            patch.setattr(planner, "join_adjacency", lambda *args: joins.append(args) or join(*args))
+            joins.clear()
             roots = _engine_roots(patch, target)
-            patch.setattr(planner, "_breadth_first", counting)
-            expanded.clear()
-            sched = brute_force_schedule_search(target)
         assert roots == reference, target.sorted_edges()
         counts["roots"] += len(roots)
-        root_keys = {adj for _m, adj in roots}
-        counts["other forests"] += sum(1 for adj in reaching
-                                       if sum(map(int.bit_count, adj)) == n
-                                       and adj not in root_keys)
+        counts["other forests"] += sum(1 for adj in last_layer if not all(adj))
         if not roots:
-            assert sched is None and expanded == [], target.sorted_edges()
+            assert joins == [], target.sorted_edges()
             counts["unreachable"] += 1
     assert matchings_calls == []
     for target in forests:
@@ -1148,7 +1196,7 @@ def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
             assert brute_force_schedule_search(target) == _reference_search(target)
     for matching in forests[-2:]:
         assert brute_force_schedule_search(matching).gate_count() == 0
-    assert counts == {"roots": 207, "other forests": 19, "unreachable": 30}
+    assert counts == {"roots": 9, "other forests": 19, "unreachable": 30}
 
 
 def _gate_lower_bound(target: Graph, allow_hadamard: bool) -> int:
@@ -1220,7 +1268,7 @@ def test_gate_lower_bound_is_sound_and_changes_no_schedule(monkeypatch):
         bound = _gate_lower_bound(target, hadamard)
         sched, passed = _search_rewriting_min_gates(monkeypatch, target, intra, hadamard, cap,
                                                     lambda _m: 0)
-        assert passed == ([bound] if intra or hadamard else [0]), target.sorted_edges()
+        assert passed == ([bound] if intra or hadamard else []), target.sorted_edges()
         if intra or hadamard:
             tight_cap = cap if sched is None else _steps(sched)
             bounded = brute_force_schedule_search(target, allow_intra=intra,
@@ -1396,34 +1444,32 @@ def _assert_toy_searches_agree(successors: dict[int, list[int]], roots: list[int
                                goals: set[int]) -> int:
     """Run _breadth_first and the layer-by-layer reference on the toy
     space at every cap from 0 to 6 and every min_gates from 0 to 4 that
-    is a lower bound on the steps to a goal, with and without finish.
-    The schedules must be equal. A search that ends with no schedule has
-    the reference's whole seen map; one that returns has a subset of it,
-    where only a key of depth min_gates - 2, met one step too deep and
-    not yet moved back, may have another parent. Returns the number of
-    bounds under which a key of depth min_gates - 2 is a successor of an
-    earlier key of that depth, so that the search meets it one step too
-    deep first."""
+    is a lower bound on the steps to a goal. The schedules must be
+    equal. A search that ends with no schedule has the reference's whole
+    seen map; one that returns has a subset of it, where only a key of
+    depth min_gates - 2, met one step too deep and not yet moved back,
+    may have another parent. Returns the number of bounds under which a
+    key of depth min_gates - 2 is a successor of an earlier key of that
+    depth, so that the search meets it one step too deep first."""
     depths = _toy_depths(successors, roots)
     closest = min((depths[goal] for goal in goals if goal in depths), default=4)
     roots_, expand, is_goal, finish = _toy_space(successors, roots, goals)
     met_deep = 0
     for min_gates in range(min(closest, 4) + 1):
         for max_gates in range(7):
-            for finish_ in (finish, None):
-                args = (None, roots_, expand, is_goal, max_gates, finish_, min_gates)
-                with _captured_seen() as captured:
-                    sched = _breadth_first(*args)
-                [seen] = captured
-                expected, reference = _reference_breadth_first(*args)
-                case = (successors, roots, goals, min_gates, max_gates, finish_ is not None)
-                assert sched == expected, case
-                if expected is None:
-                    assert seen == reference, case
-                    continue
-                moved = {key for key in seen if seen[key] != reference.get(key, ())}
-                assert all(depths[key] == min_gates - 2 for key in moved), case
-                assert seen.keys() <= reference.keys(), case
+            args = (None, roots_, expand, is_goal, max_gates, finish, min_gates)
+            with _captured_seen() as captured:
+                sched = _breadth_first(*args)
+            [seen] = captured
+            expected, reference = _reference_breadth_first(*args)
+            case = (successors, roots, goals, min_gates, max_gates)
+            assert sched == expected, case
+            if expected is None:
+                assert seen == reference, case
+                continue
+            moved = {key for key in seen if seen[key] != reference.get(key, ())}
+            assert all(depths[key] == min_gates - 2 for key in moved), case
+            assert seen.keys() <= reference.keys(), case
         order = [key for key in depths if depths[key] == min_gates - 2]
         met_deep += any(later in successors.get(key, ())
                         for i, key in enumerate(order) for later in order[i + 1:])
