@@ -9,9 +9,18 @@ photons 50/25/25 between the separate-port, both-to-measured-port and
 both-to-kept-port branches, which is all the quantum mechanics that
 survives at this level of description.
 
-A level-0 block (source pulses up to the first detector click) is drawn
-exactly as one geometric pulse count and one photon flag, not pulse by
-pulse; attempt_base_pair is the per-pulse reference it is tested against.
+build_segment draws every outcome exactly, with no per-pulse loop:
+
+- A level-0 block (source pulses up to the first detector click) is one
+  geometric pulse count and one photon flag. Blocks come from per-trial
+  lists that _base_blocks refills in numpy batches; attempt_base_pair is
+  the per-pulse reference they are tested against.
+- A connection attempt is one uniform read against a table of
+  P(accept | k) and P(accept good | k), k being the photons the two
+  inputs carry. _connection_table derives the table by enumerating the
+  routing and detector events of attempt_connection, which stays the
+  per-event reference; it never uses the closed-form p_L of scaling, so
+  the simulation stays an independent check of the analytics.
 
 Timing follows the parallel-preparation convention: the two inputs of a
 connection are built concurrently, so one attempt costs the maximum of
@@ -72,7 +81,7 @@ class DetectorModel:
             raise ValueError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """A built protocol segment: its level, the ground-truth photon flag
     of its connection qubit, and the pulses it took under the parallel
@@ -89,31 +98,58 @@ class ConnectionResult(Enum):
     REJECTED = "rejected"
 
 
+# Draws come in batches that double from the first size up to the last,
+# so a short trial draws little that it does not use.
+_FIRST_BATCH, _MAX_BATCH = 256, 8192
+
+
 class _UniformStream:
-    """Buffered uniforms from a Philox substream keyed by (seed, trial).
+    """Uniforms and level-0 blocks from a Philox substream keyed by
+    (seed, trial).
 
     Philox is counter-based, so distinct 128-bit keys give independent
-    streams regardless of how many numbers each consumes.
+    streams regardless of how many numbers each consumes. bind() derives
+    the connection table and the block probabilities of one (source,
+    detector) pair; build_segment calls it whenever it is given another
+    pair, compared by identity.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("_gen", "_buf", "_pos", "_batch", "_probs",
+                 "source", "detector", "accept", "good", "blocks")
 
-    def __init__(self, seed: int, trial_index: int, block: int = 8192):
-        if seed < 0 or seed >= 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+    def __init__(self, seed: int, trial_index: int, block: int = _FIRST_BATCH):
         key = (seed << 64) | (trial_index & ((1 << 64) - 1))
+        # Philox itself rejects a key outside [0, 2**128): a negative seed
+        # or one of 64 bits or more.
         self._gen = np.random.Generator(np.random.Philox(key=key))
         # Python floats: arithmetic on numpy scalars is several times slower.
         self._buf = self._gen.random(block).tolist()
         self._pos = 0
+        self.source = self.detector = None
+        self.blocks: list[tuple[int, bool]] = []
 
     def next(self) -> float:
         buf, pos = self._buf, self._pos
         if pos == len(buf):
-            buf = self._buf = self._gen.random(len(buf)).tolist()
+            buf = self._buf = self._gen.random(min(2 * len(buf), _MAX_BATCH)).tolist()
             pos = 0
         self._pos = pos + 1
         return buf[pos]
+
+    def bind(self, source: SourceModel, detector: DetectorModel) -> None:
+        self.source, self.detector = source, detector
+        self.accept, self.good = _connection_table(detector)
+        self._probs = _block_probs(source, detector)
+        self._batch = _FIRST_BATCH
+        self.blocks.clear()  # drawn for the previous pair
+
+    def refill_blocks(self) -> None:
+        """Append a batch of level-0 blocks; build_segment pops them
+        from the end (they are i.i.d., so the order is immaterial)."""
+        n = self._batch
+        self._batch = min(2 * n, _MAX_BATCH)
+        u = self._gen.random((2, n))
+        self.blocks.extend(zip(*_base_blocks(u[0], u[1], *self._probs)))
 
 
 def _detector_clicks(photons: int, detector: DetectorModel, u: _UniformStream) -> tuple[bool, int]:
@@ -141,27 +177,6 @@ def attempt_base_pair(source: SourceModel, detector: DetectorModel, u: _UniformS
     if not click:
         return None
     return Segment(0, emitted, 1)
-
-
-def _base_block(source: SourceModel, detector: DetectorModel, u: _UniformStream) -> tuple[int, bool]:
-    """(pulses, photon_present) of one level-0 block: attempt_base_pair
-    repeated until a click, drawn exactly from two uniforms.
-
-    Pulses are i.i.d., so the count is geometric in the per-pulse click
-    probability and the clicking pulse's kind (emitted pair or dark
-    count alone) is independent of when it came.
-    """
-    eta_d, dark = detector.eta_d, detector.dark_count_prob
-    if detector.number_resolving:
-        click_if_photon = eta_d * (1.0 - dark) + (1.0 - eta_d) * dark
-    else:
-        click_if_photon = 1.0 - (1.0 - eta_d) * (1.0 - dark)
-    p_good = source.eta_s * click_if_photon
-    p_click = p_good + (1.0 - source.eta_s) * dark
-    pulses = 1
-    if p_click < 1.0:  # log1p(-1) raises; a sure click takes one pulse
-        pulses += math.floor(math.log(1.0 - u.next()) / math.log1p(-p_click))
-    return pulses, bool(u.next() * p_click < p_good)
 
 
 def attempt_connection(
@@ -197,6 +212,79 @@ def attempt_connection(
     return ConnectionResult.ACCEPTED_VACUUM
 
 
+# The routing of attempt_connection for k = 0, 1, 2 photons at the inputs:
+# (probability, photons on the measured port, clean separate-port event).
+_ROUTES = (
+    ((1.0, 0, False),),
+    ((0.5, 1, False), (0.5, 0, False)),
+    ((0.5, 1, True), (0.25, 2, False), (0.25, 0, False)),
+)
+
+
+def _connection_table(detector: DetectorModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(P(accept | k), P(accept good | k)) for k = 0, 1, 2 photons at the
+    inputs, by enumerating the events of attempt_connection: the routing
+    branch, the photons registered (binomial in eta_d) and the dark count.
+
+    Good is a click in the clean separate-port branch with exactly one
+    photon registered. Every good term is also an accept term, added in
+    the same order, so P(good | k) <= P(accept | k) holds in floats too,
+    and one uniform r decides both: accept when r < P(accept | k), good
+    when r < P(good | k).
+    """
+    eta, dark = detector.eta_d, detector.dark_count_prob
+    accept, good = [], []
+    for branches in _ROUTES:
+        p_accept = p_good = 0.0
+        for p_route, measured, clean in branches:
+            for registered in range(measured + 1):
+                p_reg = (p_route * math.comb(measured, registered)
+                         * eta**registered * (1.0 - eta) ** (measured - registered))
+                for count, p_dark in ((registered, 1.0 - dark), (registered + 1, dark)):
+                    if count == 1 if detector.number_resolving else count >= 1:
+                        p_accept += p_reg * p_dark
+                        if clean and registered == 1:
+                            p_good += p_reg * p_dark
+        accept.append(p_accept)
+        good.append(p_good)
+    return tuple(accept), tuple(good)
+
+
+def _block_probs(source: SourceModel, detector: DetectorModel) -> tuple[float, float]:
+    """(p_good, p_click) of one source pulse: the probability that its
+    detector clicks with an emitted pair behind it, and that it clicks
+    at all (a pair, or a dark count alone)."""
+    eta_d, dark = detector.eta_d, detector.dark_count_prob
+    if detector.number_resolving:
+        click_if_photon = eta_d * (1.0 - dark) + (1.0 - eta_d) * dark
+    else:
+        click_if_photon = 1.0 - (1.0 - eta_d) * (1.0 - dark)
+    p_good = source.eta_s * click_if_photon
+    return p_good, p_good + (1.0 - source.eta_s) * dark
+
+
+def _base_blocks(
+    u0: np.ndarray, u1: np.ndarray, p_good: float, p_click: float
+) -> tuple[list[int], list[bool]]:
+    """(pulses, photon flags) of level-0 blocks, one per uniform pair
+    (u0[i], u1[i]): attempt_base_pair repeated until a click, drawn
+    exactly.
+
+    Pulses are i.i.d., so the count is geometric in p_click (inverse CDF
+    of u0) and the clicking pulse's kind (emitted pair or dark count
+    alone) is independent of when it came: it carries the photon when
+    u1 * p_click < p_good.
+    """
+    flags = (u1 * p_click < p_good).tolist()
+    if p_click >= 1.0:  # log1p(-1) raises; a sure click takes one pulse
+        return [1] * len(flags), flags
+    gaps = np.floor(np.log(1.0 - u0) / math.log1p(-p_click))
+    if gaps.max() < 2.0**62:
+        return (gaps.astype(np.int64) + 1).tolist(), flags
+    # int64 would wrap at a tiny p_click; Python ints hold any count
+    return [int(gap) + 1 for gap in gaps.tolist()], flags
+
+
 class LevelCounters:
     """attempts / acceptances / good tallies for one level."""
 
@@ -218,41 +306,52 @@ def build_segment(
 ) -> Segment:
     """Build one accepted segment of the given level, recursively.
 
-    Level 0 is attempt_base_pair repeated until a click, drawn as one
-    block by _base_block; a failed base attempt restarts only that pair.
+    Level 0 is attempt_base_pair repeated until a click, one block drawn
+    by _base_blocks; a failed base attempt restarts only that pair.
     Higher levels build both inputs (in parallel, so an attempt costs max
-    of the two block times), attempt the connection and, on rejection,
-    rebuild per the policy: "both" (default) rebuilds both inputs, "kept"
-    reuses the kept-side input and rebuilds only the measured side.
+    of the two block times) and decide the attempt with one uniform
+    against _connection_table. On rejection they rebuild per the policy:
+    "both" (default) rebuilds both inputs, "kept" reuses the kept-side
+    input and rebuilds only the measured side.
+
+    Each nested build is one call through the module-level name, and
+    stats[level] grows only in the call that builds that level, so
+    wrapping build_segment sees every segment and its attempts.
     """
+    if u.source is not source or u.detector is not detector:
+        u.bind(source, detector)
     counters = stats[level]
     if level == 0:
-        pulses, present = _base_block(source, detector, u)
+        blocks = u.blocks
+        if not blocks:
+            u.refill_blocks()
+        pulses, present = blocks.pop()
         counters.attempts += pulses
         counters.acceptances += 1
         counters.good += present
         return Segment(0, present, pulses)
 
+    accept, good = u.accept, u.good
     elapsed = 0
     kept: Segment | None = None
     while True:
         seg_a = build_segment(level - 1, source, detector, u, stats, policy)
         if kept is None:
             seg_b = build_segment(level - 1, source, detector, u, stats, policy)
-            elapsed += max(seg_a.elapsed_pulses, seg_b.elapsed_pulses)
+            a, b = seg_a.elapsed_pulses, seg_b.elapsed_pulses
+            elapsed += a if a > b else b
         else:
             seg_b = kept
             elapsed += seg_a.elapsed_pulses
         counters.attempts += 1
-        result = attempt_connection(seg_a, seg_b, detector, u)
-        if result is ConnectionResult.REJECTED:
-            kept = seg_b if policy == "kept" else None
-            continue
-        counters.acceptances += 1
-        present = result is ConnectionResult.ACCEPTED_GOOD
-        if present:
-            counters.good += 1
-        return Segment(level, present, elapsed)
+        photons = seg_a.connection_photon_present + seg_b.connection_photon_present
+        r = u.next()
+        if r < accept[photons]:
+            counters.acceptances += 1
+            present = r < good[photons]
+            counters.good += present
+            return Segment(level, present, elapsed)
+        kept = seg_b if policy == "kept" else None
 
 
 def _confirm_connection_qubit(seg: Segment, detector: DetectorModel, u: _UniformStream) -> bool:
@@ -426,6 +525,8 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
     if policy not in ("both", "kept"):
         raise ValueError(f"unknown rebuild policy {policy!r}")
     if not 1 <= threads <= _MAX_THREADS:

@@ -88,6 +88,20 @@ def test_simulate_rejects_thread_counts_above_cap_without_starting_workers(monke
         assert f"threads must be in [1, {montecarlo._MAX_THREADS}]" in capsys.readouterr().err
 
 
+def test_simulate_rejects_out_of_range_seeds_without_starting_workers(monkeypatch, capsys):
+    import pbsgraph.montecarlo as montecarlo
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    args = ["simulate", "--m", "2", "--eta-s", "0.5", "--eta-d", "0.8", "--trials", "4",
+            "--threads", "2"]
+    for seed in (-1, 2**64):
+        assert main(args + ["--seed", str(seed)]) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
 def test_simulate_pool_has_no_more_workers_than_chunks(monkeypatch, tmp_path, capsys):
     """At the thread cap the pool is sized by the work, and the JSON is
     the same as a serial run's. The pool runs in-process here."""

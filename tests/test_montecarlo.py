@@ -5,7 +5,10 @@ deterministic in practice; analytic comparisons reuse the closed forms
 that the acceptance suite validates at scale.
 """
 
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from pbsgraph.montecarlo import (
     LevelCounters,
     Segment,
     SourceModel,
-    _base_block,
+    _base_blocks,
+    _block_probs,
+    _connection_table,
     _UniformStream,
     attempt_base_pair,
     attempt_connection,
@@ -123,6 +128,49 @@ def _reference_block(source, detector, u):
     return pulses, seg.connection_photon_present
 
 
+def _base_block(source, detector, u):
+    """The scalar form of one _base_blocks draw, reading its two uniforms
+    from u: the inverse-CDF pulse count, then the photon flag."""
+    p_good, p_click = _block_probs(source, detector)
+    pulses = 1
+    if p_click < 1.0:  # log1p(-1) raises; a sure click takes one pulse
+        pulses += math.floor(math.log(1.0 - u.next()) / math.log1p(-p_click))
+    return pulses, bool(u.next() * p_click < p_good)
+
+
+def _reference_build_segment(level, source, detector, u, stats, policy="both"):
+    """build_segment drawing every event one at a time: level 0 pulse by
+    pulse (_reference_block), each connection by attempt_connection."""
+    counters = stats[level]
+    if level == 0:
+        pulses, present = _reference_block(source, detector, u)
+        counters.attempts += pulses
+        counters.acceptances += 1
+        counters.good += present
+        return Segment(0, present, pulses)
+
+    elapsed = 0
+    kept = None
+    while True:
+        seg_a = _reference_build_segment(level - 1, source, detector, u, stats, policy)
+        if kept is None:
+            seg_b = _reference_build_segment(level - 1, source, detector, u, stats, policy)
+            elapsed += max(seg_a.elapsed_pulses, seg_b.elapsed_pulses)
+        else:
+            seg_b = kept
+            elapsed += seg_a.elapsed_pulses
+        counters.attempts += 1
+        result = attempt_connection(seg_a, seg_b, detector, u)
+        if result is ConnectionResult.REJECTED:
+            kept = seg_b if policy == "kept" else None
+            continue
+        counters.acceptances += 1
+        present = result is ConnectionResult.ACCEPTED_GOOD
+        if present:
+            counters.good += 1
+        return Segment(level, present, elapsed)
+
+
 def _chi2_two_sample(a, b):
     """Pearson statistic of two histograms over the same bins, and its
     degrees of freedom (bins that either sample fills, minus one)."""
@@ -146,30 +194,34 @@ def _ks_two_sample(a, b):
 
 # Upper 0.001 points of chi-square by degrees of freedom. With df 0 every
 # draw of both samples fell in one bin, so the statistic is exactly 0.
-_CHI2_CRIT_999 = {0: 0.0, 1: 10.828, 9: 27.877}
+_CHI2_CRIT_999 = {0: 0.0, 1: 10.828, 2: 13.816, 9: 27.877}
 # Pulse-count bins {1}, {2}, {3}, {4, 5}, ..., {28..40} and a tail bin {41, ...}.
 _PULSE_EDGES = [1, 2, 3, 4, 6, 9, 13, 19, 28, 41, 2**62]
+_BLOCK_MODELS = [
+    (SourceModel(0.1), DetectorModel(0.7)),
+    (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05)),
+    (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05, number_resolving=True)),
+    (SourceModel(1.0), DetectorModel(1.0)),
+]
 
 
 @pytest.mark.parametrize(
     "source, detector, dfs",
-    [
-        # without dark counts every click carries the photon: one flag bin
-        (SourceModel(0.1), DetectorModel(0.7), (9, 0)),
-        (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05), (9, 1)),
-        (SourceModel(0.1), DetectorModel(0.7, dark_count_prob=0.05, number_resolving=True), (9, 1)),
-        (SourceModel(1.0), DetectorModel(1.0), (0, 0)),
-    ],
+    # without dark counts every click carries the photon: one flag bin
+    [(*models, dfs) for models, dfs in zip(_BLOCK_MODELS, [(9, 0), (9, 1), (9, 1), (0, 0)])],
     ids=["ideal", "dark", "resolving-dark", "perfect"],
 )
 def test_base_block_matches_pulse_loop_reference(source, detector, dfs):
-    """50k blocks drawn whole against 50k built pulse by pulse: the pulse
-    counts (10 bins, df 9) and the photon flags (df 1) agree by a
-    two-sample chi-square test at the 0.001 level. A sure outcome fills
-    one bin (df 0), and then both samples must hold only it."""
+    """50k level-0 blocks as build_segment draws them (from _base_blocks
+    batches) against 50k built pulse by pulse: the pulse counts (10
+    bins, df 9) and the photon flags (df 1) agree by a two-sample
+    chi-square test at the 0.001 level. A sure outcome fills one bin
+    (df 0), and then both samples must hold only it."""
     n = 50_000
     u_block, u_ref = _UniformStream(41, 0), _UniformStream(42, 0)
-    block = np.array([_base_block(source, detector, u_block) for _ in range(n)])
+    stats = [LevelCounters()]
+    segments = [build_segment(0, source, detector, u_block, stats) for _ in range(n)]
+    block = np.array([(seg.elapsed_pulses, seg.connection_photon_present) for seg in segments])
     ref = np.array([_reference_block(source, detector, u_ref) for _ in range(n)])
     for column, edges, df in ((0, _PULSE_EDGES, dfs[0]), (1, [0, 1, 2], dfs[1])):
         stat, got_df = _chi2_two_sample(
@@ -179,21 +231,29 @@ def test_base_block_matches_pulse_loop_reference(source, detector, dfs):
         assert stat <= _CHI2_CRIT_999[df], f"column {column}: chi2 {stat:.2f} on {df} df"
 
 
-class _ConstantStream:
-    """A stub uniform stream that always returns one value."""
+class _ListStream:
+    """A stub uniform stream that returns the given values in order."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, values):
+        self._values = iter(values)
 
     def next(self):
-        return self.value
+        return next(self._values)
+
+
+def _one_block(source, detector, u0, u1):
+    """_base_blocks on one uniform pair, checked against the scalar
+    _base_block reading the same pair."""
+    pulses, flags = _base_blocks(np.array([u0]), np.array([u1]), *_block_probs(source, detector))
+    assert (pulses[0], flags[0]) == _base_block(source, detector, _ListStream([u0, u1]))
+    return pulses[0], flags[0]
 
 
 def test_base_block_inverse_cdf_edges():
     source, detector = SourceModel(0.1), DetectorModel(0.7)
-    assert _base_block(source, detector, _ConstantStream(0.0))[0] == 1
-    pulses, _ = _base_block(source, detector, _ConstantStream(1.0 - 2.0**-53))
-    assert isinstance(pulses, int) and 1 <= pulses < 10**4
+    assert _one_block(source, detector, 0.0, 0.0)[0] == 1
+    pulses, _ = _one_block(source, detector, 1.0 - 2.0**-53, 0.5)
+    assert type(pulses) is int and 1 <= pulses < 10**4
     # A sure click (p_click == 1) takes one pulse and carries the photon,
     # without evaluating log1p(-1).
     for source, detector in [
@@ -202,20 +262,112 @@ def test_base_block_inverse_cdf_edges():
         (SourceModel(1.0), DetectorModel(1.0, dark_count_prob=0.3)),
     ]:
         for value in (0.0, 0.5, 1.0 - 2.0**-53):
-            assert _base_block(source, detector, _ConstantStream(value)) == (1, True)
+            assert _one_block(source, detector, value, value) == (1, True)
+    # Counts past int64 stay exact Python ints.
+    pulses, _ = _one_block(SourceModel(1e-30), DetectorModel(0.7), 0.5, 0.5)
+    assert type(pulses) is int and pulses > 2**90
+
+
+def test_base_blocks_equal_the_scalar_draw():
+    """On 1000 seeded uniform pairs the batched draw equals the scalar
+    _base_block, block for block, on every model of the chi-square test."""
+    rng = np.random.default_rng(3)
+    u0, u1 = rng.random(1000), rng.random(1000)
+    for source, detector in _BLOCK_MODELS:
+        pulses, flags = _base_blocks(u0, u1, *_block_probs(source, detector))
+        scalar = [_base_block(source, detector, _ListStream(pair)) for pair in zip(u0, u1)]
+        assert list(zip(pulses, flags)) == scalar
+
+
+def _exact_connection_table(detector):
+    """[(P(accept | k), P(accept good | k)) for k = 0, 1, 2] in exact
+    arithmetic, walking attempt_connection's events photon by photon."""
+    eta, dark = Fraction(detector.eta_d), Fraction(detector.dark_count_prob)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    # (probability, photons on the measured port, clean separate-port event)
+    routes = [
+        [(Fraction(1), 0, False)],
+        [(half, 1, False), (half, 0, False)],
+        [(half, 1, True), (quarter, 2, False), (quarter, 0, False)],
+    ]
+    table = []
+    for branches in routes:
+        accept = good = Fraction(0)
+        for p_route, measured, clean in branches:
+            for hits in itertools.product((True, False), repeat=measured):
+                p_hits = p_route
+                for hit in hits:
+                    p_hits *= eta if hit else 1 - eta
+                for dark_hit in (True, False):
+                    p = p_hits * (dark if dark_hit else 1 - dark)
+                    count = sum(hits) + dark_hit
+                    if count == 1 if detector.number_resolving else count >= 1:
+                        accept += p
+                        if clean and sum(hits) == 1:
+                            good += p
+        table.append((accept, good))
+    return table
+
+
+def test_connection_table_matches_exact_enumeration():
+    rng = np.random.default_rng(17)
+    detectors = [detector for _, detector in _BLOCK_MODELS] + [
+        DetectorModel(1.0 - rng.random(), dark_count_prob=dark, number_resolving=bool(rng.integers(2)))
+        for dark in [0.0] * 5 + rng.random(15).tolist()
+    ]
+    for detector in detectors:
+        accept, good = _connection_table(detector)
+        for k, (exact_accept, exact_good) in enumerate(_exact_connection_table(detector)):
+            assert abs(accept[k] - exact_accept) <= 1e-15, (detector, k)
+            assert abs(good[k] - exact_good) <= 1e-15, (detector, k)
+            assert good[k] <= accept[k]
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [DetectorModel(0.8, dark_count_prob=0.05),
+     DetectorModel(0.8, dark_count_prob=0.05, number_resolving=True)],
+    ids=["threshold-dark", "resolving-dark"],
+)
+def test_connection_table_draws_match_attempt_connection(detector):
+    """20k outcomes per input photon count k, each drawn from one uniform
+    as build_segment draws it, against 20k attempt_connection calls: the
+    (good, vacuum, rejected) counts agree by a two-sample chi-square test
+    at the 0.001 level. Zero or one photon is never good (df 1)."""
+    n = 20_000
+    accept, good = _connection_table(detector)
+    u_table, u_ref = _UniformStream(71, 0), _UniformStream(72, 0)
+    for k, df in ((0, 1), (1, 1), (2, 2)):
+        table = Counter()
+        for _ in range(n):
+            r = u_table.next()
+            table[
+                ConnectionResult.ACCEPTED_GOOD if r < good[k]
+                else ConnectionResult.ACCEPTED_VACUUM if r < accept[k]
+                else ConnectionResult.REJECTED
+            ] += 1
+        inputs = Segment(0, k >= 1, 1), Segment(0, k == 2, 1)
+        ref = Counter(attempt_connection(*inputs, detector, u_ref) for _ in range(n))
+        stat, got_df = _chi2_two_sample(
+            [table[result] for result in ConnectionResult], [ref[result] for result in ConnectionResult]
+        )
+        assert got_df == df
+        assert stat <= _CHI2_CRIT_999[df], f"k={k}: chi2 {stat:.2f} on {df} df"
 
 
 @pytest.mark.parametrize("policy", ["both", "kept"])
 def test_campaign_with_block_draws_matches_pulse_loop(monkeypatch, policy):
-    """The same run_campaign with level 0 drawn per block and per pulse:
-    per-level p_hat and a_hat agree at 4 sigma and the pulse totals by a
-    two-sample KS test at the 0.001 level."""
+    """The same run_campaign drawn by build_segment (level-0 blocks and
+    one-uniform connections) and by _reference_build_segment (pulse by
+    pulse, attempt_connection per attempt): per-level p_hat and a_hat
+    agree at 4 sigma and the pulse totals by a two-sample KS test at the
+    0.001 level."""
     params = ProtocolParams(3, 0.3, 0.8)
     source = SourceModel(0.3)
     detector = DetectorModel(0.8, dark_count_prob=0.02, number_resolving=True)
     trials = 1500
     block = run_campaign(params, source, detector, trials=trials, seed=61, policy=policy)
-    monkeypatch.setattr(montecarlo, "_base_block", _reference_block)
+    monkeypatch.setattr(montecarlo, "build_segment", _reference_build_segment)
     ref = run_campaign(params, source, detector, trials=trials, seed=62, policy=policy)
     for row_b, row_r in zip(block.per_level, ref.per_level):
         for hits, n in (("acceptances", "attempts"), ("good", "acceptances")):
@@ -227,6 +379,34 @@ def test_campaign_with_block_draws_matches_pulse_loop(monkeypatch, policy):
     # 1.949 = sqrt(-ln(0.0005) / 2), the two-sided 0.001 point of KS
     ks_crit = 1.949 * math.sqrt(2.0 / trials)
     assert _ks_two_sample(block.total_pulses, ref.total_pulses) <= ks_crit
+
+
+@pytest.mark.parametrize("policy", ["both", "kept"])
+def test_build_segment_is_called_once_per_segment(monkeypatch, policy):
+    """What a wrapper of montecarlo.build_segment relies on: every segment
+    is built by one call through the module-level name, so the level-L
+    calls equal the level-L acceptances, and the level-0 attempts are the
+    pulses of the level-0 segments returned."""
+    calls, level0_pulses = Counter(), []
+    build = montecarlo.build_segment
+
+    def spy(level, *args, **kwargs):
+        segment = build(level, *args, **kwargs)
+        calls[level] += 1
+        if level == 0:
+            level0_pulses.append(segment.elapsed_pulses)
+        return segment
+
+    monkeypatch.setattr(montecarlo, "build_segment", spy)
+    result = run_campaign(
+        ProtocolParams(3, 0.3, 0.8), SourceModel(0.3), DetectorModel(0.8, dark_count_prob=0.02),
+        trials=50, seed=81, policy=policy,
+    )
+    assert [calls[row.level] for row in result.per_level] == [
+        row.acceptances for row in result.per_level
+    ]
+    assert all(calls[level] > 0 for level in range(3))
+    assert result.per_level[0].attempts == sum(level0_pulses)
 
 
 def test_connection_outcome_distribution_two_photons():
@@ -407,6 +587,9 @@ def test_run_campaign_validation():
         run_campaign(params, source, detector, trials=5, seed=1, policy="sometimes")
     with pytest.raises(ValueError):
         run_campaign(params, source, detector, trials=5, seed=1, threads=0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            run_campaign(params, source, detector, trials=5, seed=seed)
 
 
 def test_json_document_shape():
