@@ -12,15 +12,18 @@ survives at this level of description.
 build_segment draws every outcome exactly, with no per-pulse loop:
 
 - A level-0 block (source pulses up to the first detector click) is one
-  geometric pulse count and one photon flag. Blocks come from per-trial
-  lists that _base_blocks refills in numpy batches; attempt_base_pair is
-  the per-pulse reference they are tested against.
-- A connection attempt is one uniform read against a table of
-  P(accept | k) and P(accept good | k), k being the photons the two
-  inputs carry. _connection_table derives the table by enumerating the
-  routing and detector events of attempt_connection, which stays the
-  per-event reference; it never uses the closed-form p_L of scaling, so
-  the simulation stays an independent check of the analytics.
+  geometric pulse count and one photon flag. _base_blocks draws them in
+  numpy batches into per-trial lists of ready Segments, shared through a
+  bounded module-level cache keyed by (flag, pulses), so a level-0 build
+  only pops one; attempt_base_pair is the per-pulse reference they are
+  tested against.
+- A connection attempt is one uniform, popped from the stream's buffer,
+  against a table of P(accept | k) and P(accept good | k), k being the
+  photons the two inputs carry. _connection_table derives the table by
+  enumerating the routing and detector events of attempt_connection,
+  which stays the per-event reference; it never uses the closed-form p_L
+  of scaling, so the simulation stays an independent check of the
+  analytics. The tables are cached per (frozen) model.
 
 Timing follows the parallel-preparation convention: the two inputs of a
 connection are built concurrently, so one attempt costs the maximum of
@@ -37,6 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +89,10 @@ class DetectorModel:
 class Segment:
     """A built protocol segment: its level, the ground-truth photon flag
     of its connection qubit, and the pulses it took under the parallel
-    convention."""
+    convention.
+
+    Level-0 segments come from a shared cache, so equal ones may be the
+    same object: no caller may mutate a segment it is given."""
 
     level: int
     connection_photon_present: bool
@@ -101,21 +108,43 @@ class ConnectionResult(Enum):
 # Draws come in batches that double from the first size up to the last,
 # so a short trial draws little that it does not use.
 _FIRST_BATCH, _MAX_BATCH = 256, 8192
+# Distinct level-0 segments kept for sharing; past this many, new ones
+# are built per draw and not kept, so the cache stays bounded.
+_LEVEL0_CACHE_SIZE = 4096
+
+
+class _Level0Segments(dict):
+    """Level-0 segments by (photon flag, pulses). A level-0 segment does
+    not depend on the models, so one cache serves every stream."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[bool, int]) -> Segment:
+        segment = Segment(0, *key)
+        if len(self) < _LEVEL0_CACHE_SIZE:
+            self[key] = segment
+        return segment
+
+
+_LEVEL0 = _Level0Segments()
 
 
 class _UniformStream:
-    """Uniforms and level-0 blocks from a Philox substream keyed by
+    """Uniforms and level-0 segments from a Philox substream keyed by
     (seed, trial).
 
     Philox is counter-based, so distinct 128-bit keys give independent
-    streams regardless of how many numbers each consumes. bind() derives
-    the connection table and the block probabilities of one (source,
+    streams regardless of how many numbers each consumes. The uniforms
+    sit in draws in reverse, so draws.pop() returns the generator's
+    numbers in order; next() pops one and refills the same list when it
+    is empty, and build_segment pops inline. bind() looks up the
+    connection table and the block probabilities of one (source,
     detector) pair; build_segment calls it whenever it is given another
     pair, compared by identity.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos", "_batch", "_probs",
-                 "source", "detector", "accept", "good", "blocks")
+    __slots__ = ("_gen", "_size", "_batch", "_probs",
+                 "source", "detector", "accept", "good", "draws", "blocks")
 
     def __init__(self, seed: int, trial_index: int, block: int = _FIRST_BATCH):
         key = (seed << 64) | (trial_index & ((1 << 64) - 1))
@@ -123,18 +152,17 @@ class _UniformStream:
         # or one of 64 bits or more.
         self._gen = np.random.Generator(np.random.Philox(key=key))
         # Python floats: arithmetic on numpy scalars is several times slower.
-        self._buf = self._gen.random(block).tolist()
-        self._pos = 0
+        self.draws: list[float] = self._gen.random(block)[::-1].tolist()
+        self._size = block
         self.source = self.detector = None
-        self.blocks: list[tuple[int, bool]] = []
+        self.blocks: list[Segment] = []
 
     def next(self) -> float:
-        buf, pos = self._buf, self._pos
-        if pos == len(buf):
-            buf = self._buf = self._gen.random(min(2 * len(buf), _MAX_BATCH)).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
+        draws = self.draws
+        if not draws:
+            size = self._size = min(2 * self._size, _MAX_BATCH)
+            draws.extend(self._gen.random(size)[::-1].tolist())
+        return draws.pop()
 
     def bind(self, source: SourceModel, detector: DetectorModel) -> None:
         self.source, self.detector = source, detector
@@ -144,12 +172,13 @@ class _UniformStream:
         self.blocks.clear()  # drawn for the previous pair
 
     def refill_blocks(self) -> None:
-        """Append a batch of level-0 blocks; build_segment pops them
+        """Append a batch of level-0 segments; build_segment pops them
         from the end (they are i.i.d., so the order is immaterial)."""
         n = self._batch
         self._batch = min(2 * n, _MAX_BATCH)
         u = self._gen.random((2, n))
-        self.blocks.extend(zip(*_base_blocks(u[0], u[1], *self._probs)))
+        pulses, flags = _base_blocks(u[0], u[1], *self._probs)
+        self.blocks.extend(map(_LEVEL0.__getitem__, zip(flags, pulses)))
 
 
 def _detector_clicks(photons: int, detector: DetectorModel, u: _UniformStream) -> tuple[bool, int]:
@@ -221,6 +250,7 @@ _ROUTES = (
 )
 
 
+@lru_cache(maxsize=64)
 def _connection_table(detector: DetectorModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(P(accept | k), P(accept good | k)) for k = 0, 1, 2 photons at the
     inputs, by enumerating the events of attempt_connection: the routing
@@ -250,6 +280,7 @@ def _connection_table(detector: DetectorModel) -> tuple[tuple[float, ...], tuple
     return tuple(accept), tuple(good)
 
 
+@lru_cache(maxsize=64)
 def _block_probs(source: SourceModel, detector: DetectorModel) -> tuple[float, float]:
     """(p_good, p_click) of one source pulse: the probability that its
     detector clicks with an emitted pair behind it, and that it clicks
@@ -306,8 +337,9 @@ def build_segment(
 ) -> Segment:
     """Build one accepted segment of the given level, recursively.
 
-    Level 0 is attempt_base_pair repeated until a click, one block drawn
-    by _base_blocks; a failed base attempt restarts only that pair.
+    Level 0 is attempt_base_pair repeated until a click, one shared
+    segment that _base_blocks drew; a failed base attempt restarts only
+    that pair.
     Higher levels build both inputs (in parallel, so an attempt costs max
     of the two block times) and decide the attempt with one uniform
     against _connection_table. On rejection they rebuild per the policy:
@@ -315,24 +347,26 @@ def build_segment(
     input and rebuilds only the measured side.
 
     Each nested build is one call through the module-level name, and
-    stats[level] grows only in the call that builds that level, so
-    wrapping build_segment sees every segment and its attempts.
+    stats[level] grows only in the call that builds that level, once as
+    it returns, so wrapping build_segment sees every segment and its
+    attempts.
     """
     if u.source is not source or u.detector is not detector:
         u.bind(source, detector)
-    counters = stats[level]
     if level == 0:
         blocks = u.blocks
         if not blocks:
             u.refill_blocks()
-        pulses, present = blocks.pop()
-        counters.attempts += pulses
+        segment = blocks.pop()
+        counters = stats[0]
+        counters.attempts += segment.elapsed_pulses
         counters.acceptances += 1
-        counters.good += present
-        return Segment(0, present, pulses)
+        counters.good += segment.connection_photon_present
+        return segment
 
-    accept, good = u.accept, u.good
-    elapsed = 0
+    accept, good, draws = u.accept, u.good, u.draws
+    keep = policy == "kept"
+    elapsed = attempts = 0
     kept: Segment | None = None
     while True:
         seg_a = build_segment(level - 1, source, detector, u, stats, policy)
@@ -343,15 +377,18 @@ def build_segment(
         else:
             seg_b = kept
             elapsed += seg_a.elapsed_pulses
-        counters.attempts += 1
+        attempts += 1
         photons = seg_a.connection_photon_present + seg_b.connection_photon_present
-        r = u.next()
+        r = draws.pop() if draws else u.next()
         if r < accept[photons]:
-            counters.acceptances += 1
             present = r < good[photons]
+            counters = stats[level]
+            counters.attempts += attempts
+            counters.acceptances += 1
             counters.good += present
             return Segment(level, present, elapsed)
-        kept = seg_b if policy == "kept" else None
+        if keep:
+            kept = seg_b
 
 
 def _confirm_connection_qubit(seg: Segment, detector: DetectorModel, u: _UniformStream) -> bool:

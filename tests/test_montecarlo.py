@@ -96,12 +96,45 @@ def test_uniform_stream_is_keyed_by_trial():
 
 
 def test_uniform_stream_returns_the_generators_draws_as_python_floats():
+    """next() alone, then next(), build_segment's inline draws.pop() and
+    refill_blocks() in a seeded random order, across several refills of
+    each, against a bare Philox generator making the same random(k) and
+    random((2, n)) calls in the same order: the uniforms come out in the
+    generator's order and the blocks are _base_blocks of its pairs."""
     u = _UniformStream(5, 3, block=16)
     key = (5 << 64) | 3
-    expected = np.random.Generator(np.random.Philox(key=key)).random(40)  # crosses two refills
+    expected = np.random.Generator(np.random.Philox(key=key)).random(40)  # crosses a refill
     drawn = [u.next() for _ in range(40)]
     assert all(type(x) is float for x in drawn)
     assert drawn == expected.tolist()
+
+    source, detector = SourceModel(0.3), DetectorModel(0.8, dark_count_prob=0.02)
+    probs = _block_probs(source, detector)
+    u = _UniformStream(5, 3, block=16)
+    u.bind(source, detector)
+    draws = u.draws  # next() refills this same list
+    gen = np.random.Generator(np.random.Philox(key=key))
+    pending, size = gen.random(16).tolist(), 16
+    batch, uniform_refills, block_refills = montecarlo._FIRST_BATCH, 0, 0
+    rng = np.random.default_rng(29)
+    for op in rng.choice(["next", "pop", "blocks"], size=500, p=[0.475, 0.475, 0.05]):
+        if op == "blocks":
+            start = len(u.blocks)
+            u.refill_blocks()
+            pair = gen.random((2, batch))
+            pulses, flags = _base_blocks(pair[0], pair[1], *probs)
+            assert u.blocks[start:] == [Segment(0, f, p) for p, f in zip(pulses, flags)]
+            batch = min(2 * batch, montecarlo._MAX_BATCH)
+            block_refills += 1
+            continue
+        r = draws.pop() if op == "pop" and draws else u.next()
+        if not pending:
+            size = min(2 * size, montecarlo._MAX_BATCH)
+            pending = gen.random(size).tolist()
+            uniform_refills += 1
+        assert type(r) is float and r == pending.pop(0)
+    assert uniform_refills >= 3 and block_refills >= 3
+    assert u.draws is draws
 
 
 def test_base_pair_click_rate():
@@ -385,16 +418,18 @@ def test_campaign_with_block_draws_matches_pulse_loop(monkeypatch, policy):
 def test_build_segment_is_called_once_per_segment(monkeypatch, policy):
     """What a wrapper of montecarlo.build_segment relies on: every segment
     is built by one call through the module-level name, so the level-L
-    calls equal the level-L acceptances, and the level-0 attempts are the
-    pulses of the level-0 segments returned."""
-    calls, level0_pulses = Counter(), []
+    calls equal the level-L acceptances, and the level-L attempts are the
+    growth of stats[L].attempts inside the level-L calls: a level-0 call
+    grows it by its segment's pulses, a connection call by at least one
+    attempt."""
+    calls, growths = Counter(), []
     build = montecarlo.build_segment
 
-    def spy(level, *args, **kwargs):
-        segment = build(level, *args, **kwargs)
+    def spy(level, source, detector, u, stats, *args, **kwargs):
+        before = stats[level].attempts
+        segment = build(level, source, detector, u, stats, *args, **kwargs)
         calls[level] += 1
-        if level == 0:
-            level0_pulses.append(segment.elapsed_pulses)
+        growths.append((level, stats[level].attempts - before, segment.elapsed_pulses))
         return segment
 
     monkeypatch.setattr(montecarlo, "build_segment", spy)
@@ -406,7 +441,143 @@ def test_build_segment_is_called_once_per_segment(monkeypatch, policy):
         row.acceptances for row in result.per_level
     ]
     assert all(calls[level] > 0 for level in range(3))
-    assert result.per_level[0].attempts == sum(level0_pulses)
+    for row in result.per_level:
+        assert sum(grown for level, grown, _ in growths if level == row.level) == row.attempts
+    assert all(grown == pulses for level, grown, pulses in growths if level == 0)
+    assert all(grown >= 1 for level, grown, _ in growths if level > 0)
+
+
+def test_level0_segments_are_shared_within_a_bounded_cache(monkeypatch):
+    """At eta_s = 1e-4 the pulse counts are mostly distinct, so six block
+    refills (16128 segments) overrun the level-0 cache: it stops at
+    its bound, and every segment returned still equals Segment(0, flag,
+    pulses) built fresh from _base_blocks on the stream's uniforms. Below
+    the bound, with perfect devices, every level-0 segment is one shared
+    object."""
+    monkeypatch.setattr(montecarlo, "_LEVEL0", montecarlo._Level0Segments())
+    stats = [LevelCounters()]
+    u = _UniformStream(23, 1)
+    perfect = [build_segment(0, SourceModel(1.0), DetectorModel(1.0), u, stats)
+               for _ in range(1000)]
+    assert perfect[0] == Segment(0, True, 1) and all(seg is perfect[0] for seg in perfect)
+
+    source, detector = SourceModel(1e-4), DetectorModel(0.7)
+    u = _UniformStream(23, 0)
+    stats = [LevelCounters()]
+    sizes = [montecarlo._FIRST_BATCH << k for k in range(6)]
+    got = [build_segment(0, source, detector, u, stats) for _ in range(sum(sizes))]
+    assert len(montecarlo._LEVEL0) == montecarlo._LEVEL0_CACHE_SIZE
+    assert len({seg.elapsed_pulses for seg in got}) > 2 * montecarlo._LEVEL0_CACHE_SIZE
+
+    gen = np.random.Generator(np.random.Philox(key=23 << 64))
+    gen.random(montecarlo._FIRST_BATCH)  # the stream's first uniforms
+    expected = []
+    for size in sizes:
+        pair = gen.random((2, size))
+        pulses, flags = _base_blocks(pair[0], pair[1], *_block_probs(source, detector))
+        # popped from the end of each batch
+        expected += reversed([Segment(0, f, p) for p, f in zip(pulses, flags)])
+    assert got == expected
+    assert stats[0].attempts == sum(seg.elapsed_pulses for seg in expected)
+
+
+class _IndexedStream:
+    """_UniformStream in its plain form, the reference for the lean one:
+    an index into each batch of uniforms, and level-0 blocks kept as
+    (pulses, flag) tuples. The tables come from the uncached
+    derivations."""
+
+    def __init__(self, seed, trial_index, block=montecarlo._FIRST_BATCH):
+        key = (seed << 64) | (trial_index & ((1 << 64) - 1))
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._buf = self._gen.random(block).tolist()
+        self._pos = 0
+        self.source = self.detector = None
+        self.blocks = []
+
+    def next(self):
+        buf, pos = self._buf, self._pos
+        if pos == len(buf):
+            buf = self._buf = self._gen.random(min(2 * len(buf), montecarlo._MAX_BATCH)).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return buf[pos]
+
+    def bind(self, source, detector):
+        self.source, self.detector = source, detector
+        self.accept, self.good = _connection_table.__wrapped__(detector)
+        self._probs = _block_probs.__wrapped__(source, detector)
+        self._batch = montecarlo._FIRST_BATCH
+        self.blocks.clear()
+
+    def refill_blocks(self):
+        n = self._batch
+        self._batch = min(2 * n, montecarlo._MAX_BATCH)
+        u = self._gen.random((2, n))
+        self.blocks.extend(zip(*_base_blocks(u[0], u[1], *self._probs)))
+
+
+def _indexed_build_segment(level, source, detector, u, stats, policy="both"):
+    """build_segment in its plain form on an _IndexedStream, the
+    reference for the lean kernel: tuple blocks, u.next() per connection
+    attempt, the counters bumped per attempt and a fresh Segment per
+    call."""
+    if u.source is not source or u.detector is not detector:
+        u.bind(source, detector)
+    counters = stats[level]
+    if level == 0:
+        blocks = u.blocks
+        if not blocks:
+            u.refill_blocks()
+        pulses, present = blocks.pop()
+        counters.attempts += pulses
+        counters.acceptances += 1
+        counters.good += present
+        return Segment(0, present, pulses)
+
+    accept, good = u.accept, u.good
+    elapsed = 0
+    kept = None
+    while True:
+        seg_a = _indexed_build_segment(level - 1, source, detector, u, stats, policy)
+        if kept is None:
+            seg_b = _indexed_build_segment(level - 1, source, detector, u, stats, policy)
+            elapsed += max(seg_a.elapsed_pulses, seg_b.elapsed_pulses)
+        else:
+            seg_b = kept
+            elapsed += seg_a.elapsed_pulses
+        counters.attempts += 1
+        photons = seg_a.connection_photon_present + seg_b.connection_photon_present
+        r = u.next()
+        if r < accept[photons]:
+            counters.acceptances += 1
+            present = r < good[photons]
+            counters.good += present
+            return Segment(level, present, elapsed)
+        kept = seg_b if policy == "kept" else None
+
+
+@pytest.mark.parametrize("models", _BLOCK_MODELS, ids=["ideal", "dark", "resolving-dark", "perfect"])
+@pytest.mark.parametrize("policy", ["both", "kept"])
+def test_build_segment_equals_the_indexed_kernel(monkeypatch, models, policy):
+    """run_campaign with build_segment and with _indexed_build_segment on
+    an _IndexedStream returns equal SimResults, with and without the
+    final measurement, at m = 1..4 on three seeds: the lean kernel draws
+    the same numbers in the same order and counts the same events."""
+    source, detector = models
+    cases = [(m, seed, final) for m in range(1, 5) for seed in (2, 97, (1 << 64) - 1)
+             for final in (True, False)]
+
+    def campaign(m, seed, final):
+        return run_campaign(ProtocolParams(m, source.eta_s, detector.eta_d), source, detector,
+                            trials=8 if m < 4 else 3, seed=seed, final_measurement=final,
+                            policy=policy)
+
+    lean = [campaign(*case) for case in cases]
+    monkeypatch.setattr(montecarlo, "_UniformStream", _IndexedStream)
+    monkeypatch.setattr(montecarlo, "build_segment", _indexed_build_segment)
+    for case, got in zip(cases, lean):
+        assert got == campaign(*case), case
 
 
 def test_connection_outcome_distribution_two_photons():
