@@ -12,11 +12,11 @@ survives at this level of description.
 build_segment draws every outcome exactly, with no per-pulse loop:
 
 - A level-0 block (source pulses up to the first detector click) is one
-  geometric pulse count and one photon flag. _base_blocks draws them in
-  numpy batches into per-trial lists of ready Segments, shared through a
-  bounded module-level cache keyed by (flag, pulses), so a level-0 build
-  only pops one; attempt_base_pair is the per-pulse reference they are
-  tested against.
+  geometric pulse count and one photon flag. Blocks come from per-trial
+  lists that _base_blocks refills in numpy batches; attempt_base_pair is
+  the per-pulse reference they are tested against. A block of fewer than
+  _SHARED_PULSES pulses is returned as a Segment from one table built
+  once per process, so the common short blocks build no object.
 - A connection attempt is one uniform, popped from the stream's buffer,
   against a table of P(accept | k) and P(accept good | k), k being the
   photons the two inputs carry. _connection_table derives the table by
@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -91,8 +91,9 @@ class Segment:
     of its connection qubit, and the pulses it took under the parallel
     convention.
 
-    Level-0 segments come from a shared cache, so equal ones may be the
-    same object: no caller may mutate a segment it is given."""
+    Level-0 segments of fewer than _SHARED_PULSES pulses are shared:
+    build_segment returns the same object for equal ones, so no caller
+    may mutate a segment it is given."""
 
     level: int
     connection_photon_present: bool
@@ -108,29 +109,23 @@ class ConnectionResult(Enum):
 # Draws come in batches that double from the first size up to the last,
 # so a short trial draws little that it does not use.
 _FIRST_BATCH, _MAX_BATCH = 256, 8192
-# Distinct level-0 segments kept for sharing; past this many, new ones
-# are built per draw and not kept, so the cache stays bounded.
-_LEVEL0_CACHE_SIZE = 4096
+# Level-0 blocks of fewer pulses than this share one Segment per
+# (pulses, flag); longer ones, rare unless the click probability is
+# below about 1%, get a Segment each.
+_SHARED_PULSES = 1024
 
 
-class _Level0Segments(dict):
-    """Level-0 segments by (photon flag, pulses). A level-0 segment does
-    not depend on the models, so one cache serves every stream."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple[bool, int]) -> Segment:
-        segment = Segment(0, *key)
-        if len(self) < _LEVEL0_CACHE_SIZE:
-            self[key] = segment
-        return segment
-
-
-_LEVEL0 = _Level0Segments()
+@cache
+def _level0_segments() -> list[tuple[Segment, Segment]]:
+    """Level-0 segments by [pulses][photon flag], for pulses below
+    _SHARED_PULSES (row 0 is never read). They do not depend on the
+    models, so one table serves every stream; it is built on first use."""
+    return [(Segment(0, False, pulses), Segment(0, True, pulses))
+            for pulses in range(_SHARED_PULSES)]
 
 
 class _UniformStream:
-    """Uniforms and level-0 segments from a Philox substream keyed by
+    """Uniforms and level-0 blocks from a Philox substream keyed by
     (seed, trial).
 
     Philox is counter-based, so distinct 128-bit keys give independent
@@ -144,7 +139,7 @@ class _UniformStream:
     """
 
     __slots__ = ("_gen", "_size", "_batch", "_probs",
-                 "source", "detector", "accept", "good", "draws", "blocks")
+                 "source", "detector", "accept", "good", "draws", "blocks", "level0")
 
     def __init__(self, seed: int, trial_index: int, block: int = _FIRST_BATCH):
         key = (seed << 64) | (trial_index & ((1 << 64) - 1))
@@ -155,7 +150,8 @@ class _UniformStream:
         self.draws: list[float] = self._gen.random(block)[::-1].tolist()
         self._size = block
         self.source = self.detector = None
-        self.blocks: list[Segment] = []
+        self.blocks: list[tuple[int, bool]] = []
+        self.level0 = _level0_segments()
 
     def next(self) -> float:
         draws = self.draws
@@ -172,13 +168,12 @@ class _UniformStream:
         self.blocks.clear()  # drawn for the previous pair
 
     def refill_blocks(self) -> None:
-        """Append a batch of level-0 segments; build_segment pops them
+        """Append a batch of level-0 blocks; build_segment pops them
         from the end (they are i.i.d., so the order is immaterial)."""
         n = self._batch
         self._batch = min(2 * n, _MAX_BATCH)
         u = self._gen.random((2, n))
-        pulses, flags = _base_blocks(u[0], u[1], *self._probs)
-        self.blocks.extend(map(_LEVEL0.__getitem__, zip(flags, pulses)))
+        self.blocks.extend(zip(*_base_blocks(u[0], u[1], *self._probs)))
 
 
 def _detector_clicks(photons: int, detector: DetectorModel, u: _UniformStream) -> tuple[bool, int]:
@@ -337,9 +332,8 @@ def build_segment(
 ) -> Segment:
     """Build one accepted segment of the given level, recursively.
 
-    Level 0 is attempt_base_pair repeated until a click, one shared
-    segment that _base_blocks drew; a failed base attempt restarts only
-    that pair.
+    Level 0 is attempt_base_pair repeated until a click, one block drawn
+    by _base_blocks; a failed base attempt restarts only that pair.
     Higher levels build both inputs (in parallel, so an attempt costs max
     of the two block times) and decide the attempt with one uniform
     against _connection_table. On rejection they rebuild per the policy:
@@ -357,12 +351,14 @@ def build_segment(
         blocks = u.blocks
         if not blocks:
             u.refill_blocks()
-        segment = blocks.pop()
+        pulses, present = blocks.pop()
         counters = stats[0]
-        counters.attempts += segment.elapsed_pulses
+        counters.attempts += pulses
         counters.acceptances += 1
-        counters.good += segment.connection_photon_present
-        return segment
+        counters.good += present
+        if pulses < _SHARED_PULSES:
+            return u.level0[pulses][present]
+        return Segment(0, present, pulses)
 
     accept, good, draws = u.accept, u.good, u.draws
     keep = policy == "kept"

@@ -123,7 +123,7 @@ def test_uniform_stream_returns_the_generators_draws_as_python_floats():
             u.refill_blocks()
             pair = gen.random((2, batch))
             pulses, flags = _base_blocks(pair[0], pair[1], *probs)
-            assert u.blocks[start:] == [Segment(0, f, p) for p, f in zip(pulses, flags)]
+            assert u.blocks[start:] == list(zip(pulses, flags))
             batch = min(2 * batch, montecarlo._MAX_BATCH)
             block_refills += 1
             continue
@@ -447,27 +447,25 @@ def test_build_segment_is_called_once_per_segment(monkeypatch, policy):
     assert all(grown >= 1 for level, grown, _ in growths if level > 0)
 
 
-def test_level0_segments_are_shared_within_a_bounded_cache(monkeypatch):
-    """At eta_s = 1e-4 the pulse counts are mostly distinct, so six block
-    refills (16128 segments) overrun the level-0 cache: it stops at
-    its bound, and every segment returned still equals Segment(0, flag,
-    pulses) built fresh from _base_blocks on the stream's uniforms. Below
-    the bound, with perfect devices, every level-0 segment is one shared
-    object."""
-    monkeypatch.setattr(montecarlo, "_LEVEL0", montecarlo._Level0Segments())
+def test_level0_segments_below_the_bound_come_from_the_shared_table():
+    """With perfect devices every level-0 segment is the table's one
+    Segment(0, True, 1). At eta_s = 1e-4 few blocks are short: every
+    segment returned equals Segment(0, flag, pulses) built fresh from
+    _base_blocks on the stream's uniforms, those below _SHARED_PULSES are
+    the table's objects and the rest are new ones."""
+    table = montecarlo._level0_segments()
+    assert len(table) == montecarlo._SHARED_PULSES
     stats = [LevelCounters()]
     u = _UniformStream(23, 1)
     perfect = [build_segment(0, SourceModel(1.0), DetectorModel(1.0), u, stats)
                for _ in range(1000)]
-    assert perfect[0] == Segment(0, True, 1) and all(seg is perfect[0] for seg in perfect)
+    assert all(seg is table[1][True] for seg in perfect)
 
     source, detector = SourceModel(1e-4), DetectorModel(0.7)
     u = _UniformStream(23, 0)
     stats = [LevelCounters()]
     sizes = [montecarlo._FIRST_BATCH << k for k in range(6)]
     got = [build_segment(0, source, detector, u, stats) for _ in range(sum(sizes))]
-    assert len(montecarlo._LEVEL0) == montecarlo._LEVEL0_CACHE_SIZE
-    assert len({seg.elapsed_pulses for seg in got}) > 2 * montecarlo._LEVEL0_CACHE_SIZE
 
     gen = np.random.Generator(np.random.Philox(key=23 << 64))
     gen.random(montecarlo._FIRST_BATCH)  # the stream's first uniforms
@@ -479,6 +477,28 @@ def test_level0_segments_are_shared_within_a_bounded_cache(monkeypatch):
         expected += reversed([Segment(0, f, p) for p, f in zip(pulses, flags)])
     assert got == expected
     assert stats[0].attempts == sum(seg.elapsed_pulses for seg in expected)
+    short = [seg for seg in got if seg.elapsed_pulses < montecarlo._SHARED_PULSES]
+    long = [seg for seg in got if seg.elapsed_pulses >= montecarlo._SHARED_PULSES]
+    assert 0 < len(short) < len(long)
+    assert all(seg is table[seg.elapsed_pulses][seg.connection_photon_present] for seg in short)
+    assert len({id(seg) for seg in long}) == len(long)
+
+
+@pytest.mark.parametrize("policy", ["both", "kept"])
+def test_campaigns_leave_the_shared_level0_table_intact(policy):
+    """No engine path assigns to a segment it is given: after campaigns
+    over every block model, with and without the final measurement, run
+    in this process, every entry of the shared table still reads its own
+    (level 0, flag, pulses). A mutated shared segment would be
+    returned by every later level-0 build of its key."""
+    table = montecarlo._level0_segments()
+    for source, detector in _BLOCK_MODELS:
+        for final in (True, False):
+            run_campaign(ProtocolParams(3, source.eta_s, detector.eta_d), source, detector,
+                         trials=8, seed=41, final_measurement=final, policy=policy)
+    assert len(table) == montecarlo._SHARED_PULSES
+    for pulses, pair in enumerate(table):
+        assert pair == (Segment(0, False, pulses), Segment(0, True, pulses))
 
 
 class _IndexedStream:
@@ -557,13 +577,16 @@ def _indexed_build_segment(level, source, detector, u, stats, policy="both"):
         kept = seg_b if policy == "kept" else None
 
 
-@pytest.mark.parametrize("models", _BLOCK_MODELS, ids=["ideal", "dark", "resolving-dark", "perfect"])
+@pytest.mark.parametrize("models", _BLOCK_MODELS + [(SourceModel(1e-3), DetectorModel(0.7))],
+                         ids=["ideal", "dark", "resolving-dark", "perfect", "low-eta"])
 @pytest.mark.parametrize("policy", ["both", "kept"])
 def test_build_segment_equals_the_indexed_kernel(monkeypatch, models, policy):
     """run_campaign with build_segment and with _indexed_build_segment on
     an _IndexedStream returns equal SimResults, with and without the
     final measurement, at m = 1..4 on three seeds: the lean kernel draws
-    the same numbers in the same order and counts the same events."""
+    the same numbers in the same order and counts the same events. At
+    eta_s = 1e-3 about half the level-0 blocks take _SHARED_PULSES pulses
+    or more, so both of level 0's returns are compared."""
     source, detector = models
     cases = [(m, seed, final) for m in range(1, 5) for seed in (2, 97, (1 << 64) - 1)
              for final in (True, False)]
