@@ -40,14 +40,11 @@ from .scaling import (
     total_time_exact_log10,
 )
 from .montecarlo import (
-    ConnectionResult,
     DetectorModel,
     LevelStats,
     Segment,
     SimResult,
     SourceModel,
-    attempt_base_pair,
-    attempt_connection,
     build_segment,
     run_campaign,
     wilson_interval,
@@ -62,12 +59,9 @@ from .planner import (
     brute_force_schedule_search,
     execute_schedule,
     execute_schedule_fock,
-    measures_early,
     parse_schedule,
     plan_join_sequence,
     plan_tree_protocol,
-    schedule_from_json_dict,
-    schedule_json_dict,
     schedule_text,
     validate_schedule,
 )
@@ -103,14 +97,11 @@ __all__ = [
     "total_time_approx_log10",
     "total_time_exact",
     "total_time_exact_log10",
-    "ConnectionResult",
     "DetectorModel",
     "LevelStats",
     "Segment",
     "SimResult",
     "SourceModel",
-    "attempt_base_pair",
-    "attempt_connection",
     "build_segment",
     "run_campaign",
     "wilson_interval",
@@ -123,12 +114,9 @@ __all__ = [
     "brute_force_schedule_search",
     "execute_schedule",
     "execute_schedule_fock",
-    "measures_early",
     "parse_schedule",
     "plan_join_sequence",
     "plan_tree_protocol",
-    "schedule_from_json_dict",
-    "schedule_json_dict",
     "schedule_text",
     "validate_schedule",
     "__version__",

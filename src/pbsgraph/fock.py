@@ -68,9 +68,6 @@ class FockState:
     def mode_index(self, port: int, pol: str) -> int:
         return self.modes.index(ModeLabel(port, pol))
 
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
     def _pruned(self, amplitudes: dict[tuple[int, ...], complex]) -> "FockState":
         kept = {c: a for c, a in amplitudes.items() if abs(a) > _TOL}
         return FockState(self.modes, kept)

@@ -79,15 +79,6 @@ class Graph:
         """The edge set as sorted (u, v) pairs."""
         return frozenset(self.sorted_edges())
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.adj) for j in bits(row) if j > i]
 

@@ -13,17 +13,17 @@ build_segment draws every outcome exactly, with no per-pulse loop:
 
 - A level-0 block (source pulses up to the first detector click) is one
   geometric pulse count and one photon flag. Blocks come from per-trial
-  lists that _base_blocks refills in numpy batches; attempt_base_pair is
-  the per-pulse reference they are tested against. A block of fewer than
-  _SHARED_PULSES pulses is returned as a Segment from one table built
-  once per process, so the common short blocks build no object.
+  lists that _base_blocks refills in numpy batches; the tests check them
+  against a per-pulse reference. A block of fewer than _SHARED_PULSES
+  pulses is returned as a Segment from one table built once per
+  process, so the common short blocks build no object.
 - A connection attempt is one uniform, popped from the stream's buffer,
   against a table of P(accept | k) and P(accept good | k), k being the
   photons the two inputs carry. _connection_table derives the table by
-  enumerating the routing and detector events of attempt_connection,
-  which stays the per-event reference; it never uses the closed-form p_L
-  of scaling, so the simulation stays an independent check of the
-  analytics. The tables are cached per (frozen) model.
+  enumerating the routing and detector events of one attempt, and the
+  tests check it against a per-event reference; it never uses the
+  closed-form p_L of scaling, so the simulation stays an independent
+  check of the analytics. The tables are cached per (frozen) model.
 
 Timing follows the parallel-preparation convention: the two inputs of a
 connection are built concurrently, so one attempt costs the maximum of
@@ -39,7 +39,6 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, lru_cache
 from typing import Sequence
 
@@ -98,12 +97,6 @@ class Segment:
     level: int
     connection_photon_present: bool
     elapsed_pulses: int
-
-
-class ConnectionResult(Enum):
-    ACCEPTED_GOOD = "good"
-    ACCEPTED_VACUUM = "vacuum"
-    REJECTED = "rejected"
 
 
 # Draws come in batches that double from the first size up to the last,
@@ -176,67 +169,7 @@ class _UniformStream:
         self.blocks.extend(zip(*_base_blocks(u[0], u[1], *self._probs)))
 
 
-def _detector_clicks(photons: int, detector: DetectorModel, u: _UniformStream) -> tuple[bool, int]:
-    """(click, photons actually registered) for one measured pulse."""
-    registered = 0
-    for _ in range(photons):
-        if u.next() < detector.eta_d:
-            registered += 1
-    dark = detector.dark_count_prob > 0.0 and u.next() < detector.dark_count_prob
-    count = registered + (1 if dark else 0)
-    if detector.number_resolving:
-        return count == 1, registered
-    return count >= 1, registered
-
-
-def attempt_base_pair(source: SourceModel, detector: DetectorModel, u: _UniformStream) -> Segment | None:
-    """One source pulse: emit a pair (or not), measure the outer qubit.
-
-    Returns a level-0 segment on a detector click, else None. One pulse
-    is consumed either way. The photon flag is ground truth, so a
-    dark-count acceptance with no emitted pair yields a vacuum segment.
-    """
-    emitted = u.next() < source.eta_s
-    click, _ = _detector_clicks(1 if emitted else 0, detector, u)
-    if not click:
-        return None
-    return Segment(0, emitted, 1)
-
-
-def attempt_connection(
-    seg_a: Segment, seg_b: Segment, detector: DetectorModel, u: _UniformStream
-) -> ConnectionResult:
-    """One fusion attempt on two freshly built segments.
-
-    Both photons present: probability 1/2 they exit separate ports (a
-    click on the measured one is the only good acceptance), 1/4 both hit
-    the measured port (a click accepts vacuum), 1/4 both stay in the
-    kept port (no photon to detect). One photon: it reaches the measured
-    port with probability 1/2. Acceptances that are not the clean
-    separate-port detection are classified vacuum.
-    """
-    photons = int(seg_a.connection_photon_present) + int(seg_b.connection_photon_present)
-    measured_photons = 0
-    clean_good = False
-    if photons == 2:
-        r = u.next()
-        if r < 0.5:
-            measured_photons = 1
-            clean_good = True
-        elif r < 0.75:
-            measured_photons = 2
-    elif photons == 1:
-        if u.next() < 0.5:
-            measured_photons = 1
-    click, registered = _detector_clicks(measured_photons, detector, u)
-    if not click:
-        return ConnectionResult.REJECTED
-    if clean_good and registered == 1:
-        return ConnectionResult.ACCEPTED_GOOD
-    return ConnectionResult.ACCEPTED_VACUUM
-
-
-# The routing of attempt_connection for k = 0, 1, 2 photons at the inputs:
+# The routing of one fusion attempt for k = 0, 1, 2 photons at the inputs:
 # (probability, photons on the measured port, clean separate-port event).
 _ROUTES = (
     ((1.0, 0, False),),
@@ -248,8 +181,9 @@ _ROUTES = (
 @lru_cache(maxsize=64)
 def _connection_table(detector: DetectorModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(P(accept | k), P(accept good | k)) for k = 0, 1, 2 photons at the
-    inputs, by enumerating the events of attempt_connection: the routing
-    branch, the photons registered (binomial in eta_d) and the dark count.
+    inputs, by enumerating the events of one attempt: the routing branch
+    (_ROUTES), the photons registered (binomial in eta_d) and the dark
+    count.
 
     Good is a click in the clean separate-port branch with exactly one
     photon registered. Every good term is also an accept term, added in
@@ -293,7 +227,7 @@ def _base_blocks(
     u0: np.ndarray, u1: np.ndarray, p_good: float, p_click: float
 ) -> tuple[list[int], list[bool]]:
     """(pulses, photon flags) of level-0 blocks, one per uniform pair
-    (u0[i], u1[i]): attempt_base_pair repeated until a click, drawn
+    (u0[i], u1[i]): source pulses repeated until a detector click, drawn
     exactly.
 
     Pulses are i.i.d., so the count is geometric in p_click (inverse CDF
@@ -332,8 +266,8 @@ def build_segment(
 ) -> Segment:
     """Build one accepted segment of the given level, recursively.
 
-    Level 0 is attempt_base_pair repeated until a click, one block drawn
-    by _base_blocks; a failed base attempt restarts only that pair.
+    Level 0 is source pulses repeated until a detector click, one block
+    drawn by _base_blocks; a failed base attempt restarts only that pair.
     Higher levels build both inputs (in parallel, so an attempt costs max
     of the two block times) and decide the attempt with one uniform
     against _connection_table. On rejection they rebuild per the policy:
@@ -388,9 +322,14 @@ def build_segment(
 
 
 def _confirm_connection_qubit(seg: Segment, detector: DetectorModel, u: _UniformStream) -> bool:
-    """Final confirmation: measure the surviving connection qubit."""
-    click, _ = _detector_clicks(1 if seg.connection_photon_present else 0, detector, u)
-    return click
+    """Final confirmation: measure the surviving connection qubit. Its
+    photon, if present, registers on a uniform below eta_d; a dark count
+    then needs a second uniform below dark_count_prob."""
+    registered = seg.connection_photon_present and u.next() < detector.eta_d
+    dark = detector.dark_count_prob > 0.0 and u.next() < detector.dark_count_prob
+    if detector.number_resolving:
+        return registered != dark  # exactly one count
+    return registered or dark
 
 
 def _run_trial_range(

@@ -70,25 +70,6 @@ class PauliString:
     # ----- constructors -----
 
     @classmethod
-    def identity(cls, num_qubits: int) -> "PauliString":
-        return cls(num_qubits, 0, 0, 0)
-
-    @classmethod
-    def from_ops(cls, num_qubits: int, ops: dict[int, str], sign: int = 1) -> "PauliString":
-        """Build from {qubit: letter}, e.g. from_ops(4, {0: "X", 1: "Z"}).
-
-        sign is +1 or -1.
-        """
-        x = z = 0
-        for q, letter in ops.items():
-            if not 0 <= q < num_qubits:
-                raise ValueError(f"qubit {q} out of range")
-            xb, zb = _BITS[letter]
-            x |= xb << q
-            z |= zb << q
-        return cls(num_qubits, x, z, 0 if sign == 1 else 2)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse "+XIZY" style labels, qubit 0 leftmost. Prefix may be
         +, -, +i, -i or absent (meaning +)."""
@@ -124,10 +105,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    @property
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     def support(self) -> tuple[int, ...]:
         bits = self.x_bits | self.z_bits
         return tuple(q for q in range(self.num_qubits) if bits >> q & 1)
@@ -147,11 +124,6 @@ class PauliString:
         x1, z1, x2, z2 = self.x_bits, self.z_bits, other.x_bits, other.z_bits
         phase = self.phase + other.phase + _product_phase(x1, z1, x2, z2)
         return PauliString(self.num_qubits, x1 ^ x2, z1 ^ z2, phase % 4)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """Symplectic inner product: even overlap count means commuting."""
-        anti = (self.x_bits & other.z_bits).bit_count() + (self.z_bits & other.x_bits).bit_count()
-        return anti % 2 == 0
 
     def conjugate_hadamard(self, q: int) -> "PauliString":
         """H on qubit q: X <-> Z there; a Y picks up a sign flip."""
@@ -249,21 +221,6 @@ class StabilizerGroup:
         gens = [g.conjugate_hadamard(q) if (g.x_bits | g.z_bits) & bit else g for g in self.generators]
         return StabilizerGroup(self.num_qubits, tuple(gens))
 
-    # ----- membership -----
-
-    def _reduce(self, p: PauliString) -> int:
-        """The Hermitian p, packed and reduced by the canonical rows: 0 when
-        p is in the group, the sign bit alone when -p is, and a row with
-        x or z bits left when neither is."""
-        return _residual(_canonical_rows_of(self), _pack(p), self.num_qubits)
-
-    def is_stabilized_by(self, p: PauliString) -> bool:
-        """True iff p, with its sign, is an element of the group."""
-        if p.num_qubits != self.num_qubits:
-            raise ValueError("qubit counts differ")
-        # every element of a stabilizer group is Hermitian
-        return p.is_hermitian and self._reduce(p) == 0
-
     # ----- measurement -----
 
     def measure_zz_postselect(self, q1: int, q2: int) -> tuple[float, "StabilizerGroup | None"]:
@@ -292,7 +249,9 @@ class StabilizerGroup:
                 new_gens[i] = new_gens[i] * g
             new_gens[first] = observable
             return 0.5, StabilizerGroup(n, tuple(new_gens))
-        residual = self._reduce(observable)
+        # reduced by the canonical rows: 0 when the observable is in the
+        # group, the sign bit alone when its negative is
+        residual = _residual(_canonical_rows_of(self), _pack(observable), n)
         if residual not in (0, 1 << 2 * n):
             raise AssertionError("observable commutes with a maximal group but is not in it")
         if residual == 0:
@@ -314,11 +273,6 @@ class StabilizerGroup:
         given = dict(zip(packed, self.generators))
         rows = _canonical_rows(packed, n)
         return StabilizerGroup(n, tuple(given.get(row) or _unpack(row, n) for row in rows))
-
-    def equals_group(self, other: "StabilizerGroup") -> bool:
-        if self.num_qubits != other.num_qubits:
-            return False
-        return self.canonical_form().generators == other.canonical_form().generators
 
 
 # ----- packed rows: the kernels behind canonical_form and the search -----

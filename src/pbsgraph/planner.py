@@ -68,8 +68,8 @@ from .pauli import (
 
 
 class _Op:
-    """What the text and JSON formats need of an instruction: its op
-    name, and its qubit ids in field order."""
+    """What the text format needs of an instruction: its op name, and
+    its qubit ids in field order."""
 
     op: ClassVar[str]
 
@@ -117,16 +117,14 @@ _OPS: dict[str, type] = {cls.op: cls for cls in (CreatePair, PbsGate, Hadamard, 
 _ARITY: dict[type, int] = {cls: len(fields(cls)) for cls in _OPS.values()}
 
 
-def _instruction(op: object, qubits: object) -> Instruction:
-    """The one constructor behind both schedule decoders."""
-    cls = _OPS.get(op.upper()) if isinstance(op, str) else None
+def _instruction(op: str, qubits: list[int]) -> Instruction:
+    """The instruction that parse_schedule reads from one line."""
+    cls = _OPS.get(op.upper())
     if cls is None:
         raise ValueError(f"unknown op {op!r}")
     arity = _ARITY[cls]
-    if not isinstance(qubits, list) or len(qubits) != arity:
+    if len(qubits) != arity:
         raise ValueError(f"{cls.op} takes {arity} qubit id(s), got {qubits!r}")
-    if any(type(q) is not int for q in qubits):
-        raise ValueError(f"non-integer qubit id in {qubits!r}")
     return cls(*qubits)
 
 
@@ -183,30 +181,6 @@ def validate_schedule(sched: Schedule) -> None:
             created.update(qubits)
         elif isinstance(ins, Measure):
             measured.update(qubits)
-
-
-def measures_early(sched: Schedule) -> bool:
-    """True when every measured qubit is retired as soon as possible: no
-    gate of any kind sits between a qubit's last participating
-    instruction (its pair creation, or a gate touching it) and its
-    Measure. Other pair creations and measurements may intervene, since
-    they commute with waiting."""
-    last_touch: dict[int, int] = {}
-    gate_positions: list[int] = []
-    for idx, ins in enumerate(sched.instructions):
-        if isinstance(ins, Measure):
-            continue
-        for q in ins.qubits:
-            last_touch[q] = idx
-        if not isinstance(ins, CreatePair):
-            gate_positions.append(idx)
-    for idx, ins in enumerate(sched.instructions):
-        if not isinstance(ins, Measure):
-            continue
-        start = last_touch.get(ins.q, -1)
-        if any(start < g < idx for g in gate_positions):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1020,7 @@ def execute_schedule_fock(sched: Schedule) -> tuple[float, np.ndarray | None]:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats
+# Text format
 
 
 def schedule_text(sched: Schedule) -> str:
@@ -1071,24 +1045,4 @@ def parse_schedule(text: str) -> Schedule:
             instructions.append(_instruction(op, values))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
-    return Schedule(tuple(instructions))
-
-
-def schedule_json_dict(sched: Schedule) -> dict:
-    ops = [{"op": ins.op, "qubits": list(ins.qubits)} for ins in sched.instructions]
-    return {"instructions": ops}
-
-
-def schedule_from_json_dict(doc: dict) -> Schedule:
-    entries = doc.get("instructions") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError("schedule JSON needs an 'instructions' list")
-    instructions: list[Instruction] = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"instruction {index}: expected an object, got {entry!r}")
-        try:
-            instructions.append(_instruction(entry.get("op"), entry.get("qubits")))
-        except ValueError as exc:
-            raise ValueError(f"instruction {index}: {exc}") from None
     return Schedule(tuple(instructions))

@@ -15,7 +15,7 @@ from pbsgraph.graphs import (
     stabilizers_to_graph,
     to_dot,
 )
-from pbsgraph.pauli import PauliString, StabilizerGroup
+from pbsgraph.pauli import PauliString, StabilizerGroup, _canonical_rows_of, _pack, _residual
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -48,9 +48,6 @@ def test_graph_basics():
     assert g.adj == (0b0010, 0b0001, 0b1000, 0b0100)
     assert g.edges == frozenset({(0, 1), (2, 3)})
     assert g.sorted_edges() == [(0, 1), (2, 3)]
-    assert g.neighbors(0) == frozenset({1})
-    assert g.degree(3) == 1
-    assert g.has_edge(3, 2) and not g.has_edge(0, 2)
     assert g.components() == [frozenset({0, 1}), frozenset({2, 3})]
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
@@ -88,7 +85,7 @@ def test_graph_state_generators():
     star = Graph.from_edges(3, [(0, 1), (0, 2)])
     group = graph_to_stabilizers(star)
     expected = StabilizerGroup.from_labels(["XZZ", "ZXI", "ZIX"])
-    assert group.equals_group(expected)
+    assert group.canonical_form() == expected.canonical_form()
 
 
 def test_stabilizers_to_graph_round_trip():
@@ -150,7 +147,6 @@ def test_join_rule_matches_tableau():
         prob, after = apply_pbs_gate(combined, i1, a.num_vertices + i2)
         assert prob == 0.5
         predicted = graph_to_stabilizers(pbs_join_graphs(a, i1, b, i2))
-        assert after.equals_group(predicted)
         assert after.canonical_form() == predicted.canonical_form()
 
 
@@ -160,7 +156,7 @@ def test_apply_pbs_gate_deterministic_on_correlated_pair():
     bell = StabilizerGroup.from_labels(["ZZ", "XX"])
     prob, after = apply_pbs_gate(bell, 0, 1)
     assert prob == 1.0
-    assert after.equals_group(StabilizerGroup.from_labels(["ZX", "XZ"]))
+    assert after.canonical_form() == StabilizerGroup.from_labels(["ZX", "XZ"]).canonical_form()
 
     blocked = StabilizerGroup.from_labels(["-ZZ", "XX"])
     prob, after = apply_pbs_gate(blocked, 0, 1)
@@ -188,7 +184,7 @@ def test_edge_list_round_trip_and_errors():
 
 
 def test_edge_list_bounds_the_vertex_count():
-    assert parse_edge_list("vertices 65536\n0 65535\n").degree(65535) == 1
+    assert parse_edge_list("vertices 65536\n0 65535\n").adj[65535] == 1
     with pytest.raises(ValueError, match="exceeds 65536"):
         parse_edge_list("vertices 65537\n")
 
@@ -204,4 +200,5 @@ def test_loop_targets_are_valid_inputs():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     group = graph_to_stabilizers(c4)
     assert stabilizers_to_graph(group) == c4
-    assert group.is_stabilized_by(PauliString.from_label("XZIZ"))
+    # XZIZ is in the group: reduced by its canonical rows it leaves 0
+    assert _residual(_canonical_rows_of(group), _pack(PauliString.from_label("XZIZ")), 4) == 0

@@ -8,6 +8,7 @@ that the acceptance suite validates at scale.
 import itertools
 import math
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -15,17 +16,15 @@ import pytest
 
 from pbsgraph import montecarlo
 from pbsgraph.montecarlo import (
-    ConnectionResult,
     DetectorModel,
     LevelCounters,
     Segment,
     SourceModel,
     _base_blocks,
     _block_probs,
+    _confirm_connection_qubit,
     _connection_table,
     _UniformStream,
-    attempt_base_pair,
-    attempt_connection,
     build_segment,
     run_campaign,
     wilson_interval,
@@ -40,6 +39,87 @@ from pbsgraph.scaling import (
 
 def _margin(p: float, n: int, sigmas: float = 4.0) -> float:
     return sigmas * math.sqrt(p * (1.0 - p) / n)
+
+
+# Per-event references that the block and table draws are checked against.
+
+
+class ConnectionResult(Enum):
+    ACCEPTED_GOOD = "good"
+    ACCEPTED_VACUUM = "vacuum"
+    REJECTED = "rejected"
+
+
+def _detector_clicks(photons: int, detector: DetectorModel, u: _UniformStream) -> tuple[bool, int]:
+    """(click, photons actually registered) for one measured pulse."""
+    registered = 0
+    for _ in range(photons):
+        if u.next() < detector.eta_d:
+            registered += 1
+    dark = detector.dark_count_prob > 0.0 and u.next() < detector.dark_count_prob
+    count = registered + (1 if dark else 0)
+    if detector.number_resolving:
+        return count == 1, registered
+    return count >= 1, registered
+
+
+def attempt_base_pair(source: SourceModel, detector: DetectorModel, u: _UniformStream) -> Segment | None:
+    """One source pulse: emit a pair (or not), measure the outer qubit.
+
+    Returns a level-0 segment on a detector click, else None. One pulse
+    is consumed either way. The photon flag is ground truth, so a
+    dark-count acceptance with no emitted pair yields a vacuum segment.
+    """
+    emitted = u.next() < source.eta_s
+    click, _ = _detector_clicks(1 if emitted else 0, detector, u)
+    if not click:
+        return None
+    return Segment(0, emitted, 1)
+
+
+def attempt_connection(
+    seg_a: Segment, seg_b: Segment, detector: DetectorModel, u: _UniformStream
+) -> ConnectionResult:
+    """One fusion attempt on two freshly built segments.
+
+    Both photons present: probability 1/2 they exit separate ports (a
+    click on the measured one is the only good acceptance), 1/4 both hit
+    the measured port (a click accepts vacuum), 1/4 both stay in the
+    kept port (no photon to detect). One photon: it reaches the measured
+    port with probability 1/2. Acceptances that are not the clean
+    separate-port detection are classified vacuum.
+    """
+    photons = int(seg_a.connection_photon_present) + int(seg_b.connection_photon_present)
+    measured_photons = 0
+    clean_good = False
+    if photons == 2:
+        r = u.next()
+        if r < 0.5:
+            measured_photons = 1
+            clean_good = True
+        elif r < 0.75:
+            measured_photons = 2
+    elif photons == 1:
+        if u.next() < 0.5:
+            measured_photons = 1
+    click, registered = _detector_clicks(measured_photons, detector, u)
+    if not click:
+        return ConnectionResult.REJECTED
+    if clean_good and registered == 1:
+        return ConnectionResult.ACCEPTED_GOOD
+    return ConnectionResult.ACCEPTED_VACUUM
+
+
+def test_final_confirmation_draws_as_detector_clicks():
+    """_confirm_connection_qubit reads the click of _detector_clicks on
+    the segment's photon, from the same uniforms in the same order."""
+    for detector in (DetectorModel(0.7), DetectorModel(0.7, 0.3), DetectorModel(0.7, 0.3, True)):
+        for present in (False, True):
+            u, u_ref = _UniformStream(5, 0), _UniformStream(5, 0)
+            for _ in range(2000):
+                click = _confirm_connection_qubit(Segment(1, present, 1), detector, u)
+                assert click == _detector_clicks(int(present), detector, u_ref)[0]
+                assert u.draws == u_ref.draws
 
 
 def test_model_validation():
