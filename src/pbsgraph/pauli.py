@@ -105,10 +105,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    def support(self) -> tuple[int, ...]:
-        bits = self.x_bits | self.z_bits
-        return tuple(q for q in range(self.num_qubits) if bits >> q & 1)
-
     def letter(self, q: int) -> str:
         return _LETTERS[(self.x_bits >> q & 1, self.z_bits >> q & 1)]
 

@@ -5,18 +5,22 @@ that builds a caterpillar tree out of Bell pairs, measuring every qubit
 as soon as no later gate touches it. plan_join_sequence decides exactly
 which trees the inter-graph fusion rule can reach and reconstructs a
 gate sequence when one exists. brute_force_schedule_search is the
-independent oracle over all schedules on at most eight qubits. With
-inter-graph gates only, it walks greedily from the pairs through the
+oracle over all schedules on at most eight qubits. With inter-graph
+gates only, it rejects a target with a cycle or an odd component, which
+no join sequence builds, and walks greedily from the pairs through the
 labeled forests, held as adjacency masks, that a backward walk from the
 target reaches: this gives the breadth-first sweep's schedule with no
-breadth-first search. Otherwise it searches breadth-first over
-stabilizer groups held as tuples of canonical packed rows, from the
-Bell pairs on each perfect matching as graph rows; on a graph state
-with local Z signs, a gate across two components or on a lone edge
-takes a graph rule, and a gate that only repeats an earlier successor
-is left out. It tries each new state, as soon as it is found, with only
-the steps that can finish the target, so its last expansion stops at
-the first state that finishes, and no schedule changes.
+breadth-first search. Both that walk and plan_join_sequence undo joins
+with one inverse, _pre_images, which splits a tree only into even
+sides; the tests check both against the unpruned forward sweep.
+Otherwise it searches breadth-first over stabilizer groups held as
+tuples of canonical packed rows, from the Bell pairs on each perfect
+matching as graph rows; on a graph state with local Z signs, a gate
+across two components or on a lone edge takes a graph rule, and a gate
+that only repeats an earlier successor is left out. It tries each new
+state, as soon as it is found, with only the steps that can finish the
+target, so its last expansion stops at the first state that finishes,
+and no schedule changes.
 That scan builds no successor: it tests whether the step's result is the
 goal by stabilizer membership, row by row, and it is skipped on states
 with too few gates to finish: a target with k components takes at least
@@ -253,37 +257,31 @@ def plan_join_sequence(target: Graph) -> Schedule | None:
     """Decide whether the inter-graph fusion rule alone can build the
     target tree, and return a schedule when it can (None otherwise).
 
-    The decision unwinds the last gate: a join that produced tree T
-    turned some current leaf l (with neighbor s) into a leaf while s
-    absorbed l's old neighbors. Removing s splits T into subtrees; those
-    must divide into a group kept with s and a group re-rooted on l,
-    each side of even total order (an odd count of odd subtrees), and
-    both sides must themselves be buildable. Sources are single edges,
-    so odd-order targets fail immediately. Verdicts are memoized by tree
-    isomorphism class, keyed by rooted-shape labels interned per call;
-    all ties break toward the lowest vertex id.
+    The decision unwinds the last gate with _pre_images: the tree is
+    reachable when some pre-image splits it into two even trees that are
+    both reachable, tried in _pre_images' order. Sources are single
+    edges, so odd-order targets fail immediately. Unreachable trees are
+    remembered by isomorphism class, keyed by rooted-shape labels
+    interned per call; all ties break toward the lowest vertex id.
     """
     if not target.is_tree():
         raise ValueError("join planning requires a tree")
     n = target.num_vertices
     if n % 2 == 1:
         return None
-    memo: dict[tuple, bool] = {}
-    shapes: dict[tuple, int] = {}
-    instructions = _plan_tree(target.adj, (1 << n) - 1, memo, shapes)
+    instructions = _plan_tree(target.adj, (1 << n) - 1, set(), {})
     if instructions is None:
         return None
-    sched = Schedule(tuple(instructions), target=target)
-    return sched
+    return Schedule(tuple(instructions), target=target)
 
 
 def _plan_tree(
-    adj: tuple[int, ...], verts: int, memo: dict[tuple, bool], shapes: dict[tuple, int]
+    adj: tuple[int, ...], verts: int, unreachable: set[tuple], shapes: dict[tuple, int]
 ) -> list[Instruction] | None:
-    """Plan the tree on the vertex mask verts, whose rows in adj stay
-    inside verts. Runs the _plan_steps generators on an explicit stack,
-    so deep decompositions cannot overflow the interpreter's."""
-    stack = [_plan_steps(adj, verts, memo, shapes)]
+    """Plan the even tree on the vertex mask verts, whose rows in adj
+    stay inside verts. Runs the _plan_steps generators on an explicit
+    stack, so deep decompositions cannot overflow the interpreter's."""
+    stack = [_plan_steps(adj, verts, unreachable, shapes)]
     result = None
     while stack:
         try:
@@ -292,80 +290,32 @@ def _plan_tree(
             stack.pop()
             result = done.value
         else:
-            stack.append(_plan_steps(*sub, memo, shapes))
+            stack.append(_plan_steps(*sub, unreachable, shapes))
             result = None
     return result
 
 
 def _plan_steps(
-    adj: tuple[int, ...], verts: int, memo: dict[tuple, bool], shapes: dict[tuple, int]
+    adj: tuple[int, ...], verts: int, unreachable: set[tuple], shapes: dict[tuple, int]
 ) -> Generator[tuple[tuple[int, ...], int], list[Instruction] | None, list[Instruction] | None]:
     """_plan_tree's decision for one tree as a generator: it yields each
     subtree it needs planned as (adj, verts), is sent that plan back,
     and returns its own plan (None when the tree is unreachable)."""
-    size = verts.bit_count()
-    if size % 2 == 1:
-        return None
-    if size == 2:
+    if verts.bit_count() == 2:
         return [CreatePair(*bits(verts))]
     key = _tree_canonical(adj, verts, shapes)
-    if memo.get(key) is False:
+    if key in unreachable:
         return None
-
-    for leaf in bits(verts):
-        if adj[leaf].bit_count() != 1:
+    for i1, i2, before, side in _pre_images(adj, verts):
+        sub_a = yield before, verts & ~side
+        if sub_a is None:
             continue
-        support = adj[leaf].bit_length() - 1
-        subtrees = _subtrees_off(adj, verts, support, leaf)
-        odd_flags = [members.bit_count() % 2 == 1 for members, _root in subtrees]
-        for mask in range(1 << len(subtrees)):
-            to_leaf_odd = sum(1 for i, odd in enumerate(odd_flags) if odd and mask >> i & 1)
-            to_support_odd = sum(odd_flags) - to_leaf_odd
-            if to_leaf_odd % 2 == 0 or to_support_odd % 2 == 0:
-                continue
-            support_side = [t for i, t in enumerate(subtrees) if not mask >> i & 1]
-            leaf_side = [t for i, t in enumerate(subtrees) if mask >> i & 1]
-            sub_a = yield _attach(adj, support, support_side)
-            if sub_a is None:
-                continue
-            sub_b = yield _attach(adj, leaf, leaf_side)
-            if sub_b is None:
-                continue
-            memo[key] = True
-            return sub_a + sub_b + [PbsGate(support, leaf)]
-    memo[key] = False
+        sub_b = yield before, side
+        if sub_b is None:
+            continue
+        return sub_a + sub_b + [PbsGate(i1, i2)]
+    unreachable.add(key)
     return None
-
-
-def _subtrees_off(
-    adj: tuple[int, ...], verts: int, support: int, leaf: int
-) -> list[tuple[int, int]]:
-    """Components of the tree minus `support`, excluding the bare leaf,
-    ordered by least member. Each comes back as (member mask, bit of the
-    root adjacent to support)."""
-    rest = verts & ~(1 << support | 1 << leaf)
-    return [(members, members & adj[support]) for members in component_masks(adj, rest)]
-
-
-def _attach(
-    adj: tuple[int, ...], hub: int, subtrees: list[tuple[int, int]]
-) -> tuple[tuple[int, ...], int]:
-    """Adjacency and vertex mask of hub plus the given subtrees, with each
-    subtree's root connected to the hub. Each subtree meets the removed
-    support vertex at its root only, so this is exact for both sides of
-    the decomposition: the support keeps precisely its root edges, and
-    the leaf acquires the roots it had before the join."""
-    keep = roots = 0
-    for members, root in subtrees:
-        keep |= members
-        roots |= root
-    new_adj = list(adj)
-    for v in bits(keep):
-        new_adj[v] = adj[v] & keep
-    for v in bits(roots):
-        new_adj[v] |= 1 << hub
-    new_adj[hub] = roots
-    return tuple(new_adj), keep | 1 << hub
 
 
 def _tree_canonical(adj: tuple[int, ...], verts: int, shapes: dict[tuple, int]) -> tuple:
@@ -441,13 +391,17 @@ def brute_force_schedule_search(
 
     Every schedule normalizes to pair creations first (creations commute
     with gates on other qubits), so the search runs over gate sequences
-    from every perfect matching of the target's vertices. With only
-    inter-graph gates the state stays a labeled forest and the join
-    rewrite rule applies; inverting the join from the target back gives
-    the forests from which it can still be reached, and a greedy walk
-    through them from the least matching among them, taking the first
-    join into them at each step, finds the search's schedule with no
-    breadth-first search. Allowing intra-graph gates or bare
+    from every perfect matching of the target's vertices. A target of k
+    components takes at least n/2 - k gates, one more for a cycle without
+    bare Hadamards (_search_stabilizer); this bound is computed once, and
+    a cap below it returns None at once. With only inter-graph gates the
+    state stays a labeled forest of even trees and the join rewrite rule
+    applies, so a target with a cycle or an odd component returns None
+    at once. Otherwise inverting the join (_pre_images) from the target
+    back gives the forests from which it can still be reached, and a
+    greedy walk through them from the least matching among them, taking
+    the first join into them at each step, finds the search's schedule
+    with no breadth-first search. Allowing intra-graph gates or bare
     Hadamards switches to breadth-first search over stabilizer groups,
     each keyed by its canonical packed rows (pauli's row kernels); each
     new state is first tried with only the gates onto the target's leaves
@@ -478,10 +432,17 @@ def brute_force_schedule_search(
         return None  # pair sources emit qubits two at a time
     if max_gates is None:
         max_gates = n // 2 + 1
-
+    comps = component_masks(target.adj, (1 << n) - 1)
+    forest = sum(map(int.bit_count, target.adj)) == 2 * (n - len(comps))
+    # a lower bound on the gates of any schedule for the target (_search_stabilizer)
+    min_gates = n // 2 - len(comps) + (not forest and not allow_hadamard)
+    if min_gates > max_gates:
+        return None
     if allow_intra or allow_hadamard:
-        return _search_stabilizer(target, allow_intra, allow_hadamard, max_gates)
-    return _search_forest(target, max_gates)
+        return _search_stabilizer(target, allow_intra, allow_hadamard, max_gates, min_gates)
+    if not forest or any(comp.bit_count() % 2 for comp in comps):
+        return None  # a join merges two even trees, so it builds no cycle and no odd tree
+    return _search_forest(target, min_gates)
 
 
 def _matchings(vertices: list[int]) -> Iterator[list[tuple[int, int]]]:
@@ -617,56 +578,97 @@ def _breadth_first(target: Graph, roots, expand, is_goal, max_gates: int,
     return None
 
 
-def _pre_images(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Every (i1, i2, E) with join_adjacency(E, i1, i2) equal to the
-    forest adj and i1, i2 in different components of E. A join leaves i2
-    a leaf of i1 and hands i1 the neighbours of i2, so inverting it picks
-    a leaf i2 of adj and gives back to i2 any subset of i1's other
-    neighbours: 2^(deg - 1) pre-images per leaf, the empty subset and the
-    full one included."""
-    for i2 in range(n):
+def _pre_images(
+    adj: tuple[int, ...], verts: int
+) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+    """Every (i1, i2, E, side) with join_adjacency(E, i1, i2) equal to adj
+    on the vertex mask verts and i1, i2 in different components of E,
+    both of even size; side is the vertex mask of i2's component. adj
+    must be a forest on verts, rows inside verts, with every component
+    even; E's rows outside verts are adj's.
+
+    A join leaves i2 a leaf of i1 and hands i1 the neighbours of i2, so
+    inverting it picks a leaf i2 and gives back to i2 some of i1's other
+    branches (the components of the forest minus i1 that meet its
+    neighbours), each with its root. The component is even, so both
+    sides are even exactly when i2 takes an odd number of odd branches.
+    An odd side would stay odd in every earlier forest, and the pairs
+    are even, so no schedule builds the pre-images left out.
+    Order: leaves i2 lowest first; for each, i1's other branches by least
+    member, with subsets counted in binary, bit k for branch k."""
+    branches_of: dict[int, list[int]] = {}
+    for i2 in bits(verts):
         if adj[i2].bit_count() != 1:
             continue
         i1 = adj[i2].bit_length() - 1
+        row = adj[i1]
+        if row.bit_count() < 3:
+            continue  # with fewer than two other branches, i1 or i2 is left alone
         b1, b2 = 1 << i1, 1 << i2
-        others = adj[i1] & ~b2
-        taken = others
-        while True:
+        branches = branches_of.get(i1)
+        if branches is None:
+            branches = branches_of[i1] = []
+            for w in bits(row):
+                branch = frontier = 1 << w
+                while frontier and adj[w] != b1:  # breadth-first without i1; a leaf is alone
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & ~branch & ~b1
+                    branch |= frontier
+                branches.append(branch)
+            branches.sort(key=lambda branch: branch & -branch)
+        # Count from 1 (0 leaves i2 alone, an odd side). Each step clears
+        # the trailing ones and sets the bit above them; the branches are
+        # disjoint, so the side toggles the union of other branches 0..k,
+        # k the lowest set bit of the count.
+        flips, union = [], 0
+        for branch in branches:
+            if branch != b2:
+                union |= branch
+                flips.append(union)
+        side = b2
+        for count in range(1, 1 << len(flips)):
+            side ^= flips[(count & -count).bit_length() - 1]
+            if side.bit_count() % 2:
+                continue
+            taken = row & side & ~b2
             pre = list(adj)
-            for w in bits(taken):
+            rest = taken  # low bits by hand: the bits generator costs more here
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
                 pre[w] = pre[w] & ~b1 | b2
-            pre[i1] = others & ~taken
+                rest ^= low
+            pre[i1] = row & ~side
             pre[i2] = taken
-            yield i1, i2, tuple(pre)
-            if not taken:
-                break
-            taken = taken - 1 & others
+            yield i1, i2, tuple(pre), side
 
 
 def _reaching(target: tuple[int, ...], n: int,
               joins: int) -> tuple[set[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Every forest a schedule can build that reaches the target in at
-    most `joins` joins, found by walking back from the target one join at
-    a time (the backward half of a bidirectional search, Pohl 1971), and
-    the walk's last layer. Pre-images that isolate i1 or i2 (the full and
-    the empty subset) are dropped: the pairs isolate no vertex and no join
-    isolates one, so no schedule builds them, and a pre-image keeps every
-    isolated vertex isolated, so nothing walked back from them is built.
+    """Every forest with all components even that reaches the target in
+    at most `joins` joins, found by walking back from the target one join
+    at a time with _pre_images (the backward half of a bidirectional
+    search, Pohl 1971), and the walk's last layer. The target must be a
+    forest with every component even; no schedule builds anything else,
+    since the pairs are even and a join merges two components into one.
 
-    For a forest target, each member but the target was added as a
-    pre-image of a member, which _pre_images separates, so it has a join
-    into the set. A join across components merges two of them, so the
-    walk's layers hold forests of k, k + 1, ... components, k the
-    target's, and a join from a member lands one layer nearer the target.
-    A target with a cycle has no perfect matching in its set: a join adds
-    at most one edge, so n/2 - k of them leave the pairs n - k at most."""
+    Each member but the target was added as a pre-image of a member,
+    which _pre_images separates, so it has a join into the set. A join
+    across components merges two of them, so the walk's layers hold
+    forests of k, k + 1, ... components, k the target's, and a join from
+    a member lands one layer nearer the target."""
+    everyone = (1 << n) - 1
     reaching = {target}
     layer = [target]
     for _ in range(joins):
         next_layer = []
         for joined in layer:
-            for i1, i2, pre in _pre_images(joined, n):
-                if pre[i1] and pre[i2] and pre not in reaching:
+            for _i1, _i2, pre, _side in _pre_images(joined, everyone):
+                if pre not in reaching:
                     reaching.add(pre)
                     next_layer.append(pre)
         layer = next_layer
@@ -702,33 +704,30 @@ def _pair_adjacency(matching: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
+def _search_forest(target: Graph, joins: int) -> Schedule | None:
     """Search over labeled forests, each keyed by its adjacency masks: a
     greedy walk forward from the pairs through the backward set, which
-    finds the schedule of the unpruned breadth-first sweep. A forest
-    outside the set cannot reach the target. In the set, each forest but
-    the target has a join into the set, and each join lands one layer
-    nearer the target, never on a forest already seen (_reaching). So the
-    sweep's first forest at each depth is the first successor in the set
-    of its first forest one depth up, and the target is the only forest
-    at the last depth."""
+    finds the schedule of the unpruned breadth-first sweep. The target is
+    a forest of even components, k of them, and each join merges two
+    components, so the n/2 pairs reach it in exactly joins = n/2 - k
+    joins. A forest outside the set cannot reach the target. In the set,
+    each forest but the target has a join into the set, and each join
+    lands one layer nearer the target, never on a forest already seen
+    (_reaching). So the sweep's first forest at each depth is the first
+    successor in the set of its first forest one depth up, and the target
+    is the only forest at the last depth."""
     n = target.num_vertices
-    # Each join merges two components, so the n/2 pairs reach a target of
-    # k components in exactly n/2 - k joins; deeper search cannot help.
-    depth_needed = n // 2 - len(component_masks(target.adj, (1 << n) - 1))
-    if depth_needed > max_gates:
-        return None
-    reaching, last_layer = _reaching(target.adj, n, depth_needed)
-    # The sweep's first root: of the perfect matchings in the last layer,
-    # the least sorted pair list (_matchings' order). A target with an
-    # isolated vertex, an odd component or a cycle leaves other graphs.
+    reaching, last_layer = _reaching(target.adj, n, joins)
+    # The sweep's first root: the least sorted pair list (_matchings'
+    # order) of the last layer, whose forests of n/2 even components are
+    # all perfect matchings.
     root = min((([(a, b.bit_length() - 1) for a, b in enumerate(adj) if b > 1 << a], adj)
-                for adj in last_layer if all(b.bit_count() == 1 for b in adj)), default=None)
+                for adj in last_layer), default=None)
     if root is None:
         return None
     matching, adj = root
     gates = []
-    for _ in range(depth_needed):  # the first join (i1, i2) into the set
+    for _ in range(joins):  # the first join (i1, i2) into the set
         outside = _outside_masks(adj, n)
         i1, i2, adj = next((i1, i2, joined) for i1 in range(n) for i2 in bits(outside[i1])
                            if (joined := join_adjacency(adj, i1, i2)) in reaching)
@@ -737,7 +736,7 @@ def _search_forest(target: Graph, max_gates: int) -> Schedule | None:
 
 
 def _search_stabilizer(
-    target: Graph, allow_intra: bool, allow_hadamard: bool, max_gates: int
+    target: Graph, allow_intra: bool, allow_hadamard: bool, max_gates: int, min_gates: int
 ) -> Schedule | None:
     """Breadth-first search over stabilizer groups, each keyed by its
     canonical packed rows (pauli's row kernels). When intra-graph gates
@@ -766,7 +765,8 @@ def _search_stabilizer(
 
     The scan runs only on states with at least min_gates - 1 steps, where
     min_gates lower-bounds the gates of any schedule that builds the
-    target; a cap below it returns None at once. The n/2 pairs start as
+    target; brute_force_schedule_search computes it, and returns None at
+    once for a cap below it. The n/2 pairs start as
     n/2 interaction clusters, and a gate acts on two qubits, so it merges
     at most two clusters. Each connected
     component of a graph state is entangled across every cut, so it lies
@@ -809,12 +809,6 @@ def _search_stabilizer(
     the tableau's. Every other step runs on the tableau."""
     n = target.num_vertices
     everyone = (1 << n) - 1
-    k = len(component_masks(target.adj, everyone))  # min_gates: see the docstring
-    min_gates = n // 2 - k
-    if not allow_hadamard and sum(map(int.bit_count, target.adj)) != 2 * (n - k):
-        min_gates += 1  # a cycle
-    if min_gates > max_gates:
-        return None
     track_parts = not allow_intra
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     hadamards = [Hadamard(q) for q in range(n)]

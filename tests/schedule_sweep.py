@@ -1,12 +1,12 @@
-"""Byte-identity sweep of the brute-force planner.
+"""Byte-identity sweep of the brute-force and exact join planners.
 
 Prints one line per record, `<sha256> <label>`, where the hash covers the
-schedule text (or None) that brute_force_schedule_search returns, or,
-for a CLI record, the exit code, stdout and stderr of `plan --brute-force`
-and of `verify --oracle` on its schedule, and the schedule file. Run one
-copy of it against the src of each of two commits and compare the
-outputs; a planner change that keeps every schedule prints the same 2004
-lines:
+schedule text (or None) that brute_force_schedule_search or
+plan_join_sequence returns, or, for a CLI record, the exit code, stdout
+and stderr of `plan --brute-force` and of `verify --oracle` on its
+schedule, and the schedule file. Run one copy of it against the src of
+each of two commits and compare the outputs; a planner change that keeps
+every schedule prints the same 4073 lines:
 
     PYTHONPATH=src python3 tests/schedule_sweep.py > change.txt
     PYTHONPATH=../parent/src python3 tests/schedule_sweep.py > parent.txt
@@ -31,7 +31,12 @@ import networkx as nx
 
 from pbsgraph import cli
 from pbsgraph.graphs import Graph
-from pbsgraph.planner import brute_force_schedule_search, plan_tree_protocol, schedule_text
+from pbsgraph.planner import (
+    brute_force_schedule_search,
+    plan_join_sequence,
+    plan_tree_protocol,
+    schedule_text,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from benchmarks.workloads import Plan  # noqa: E402
@@ -149,6 +154,26 @@ def search_cases():
         yield "ten-vertex tree", tree, False, False, None
 
 
+def join_cases():
+    """(label, tree) for the 2069 plan_join_sequence records: every tree
+    of an even order from 2 to 12 vertices (odd orders return None before
+    any planning), each with two seeded relabellings; a reachable
+    1000-vertex caterpillar, the pairs (2k, 2k + 1) joined by
+    PBS 2k + 1, 2k + 2, whose decomposition nests 499 deep; and the
+    64-vertex star, whose hub has 63 branches."""
+    rng = random.Random(2069)
+    for n in range(2, 13, 2):
+        for tree in _trees(n):
+            yield "tree", tree
+            for _ in range(2):
+                yield "relabelled tree", _relabelled(tree, rng)
+    k = 500
+    yield "1000-vertex caterpillar", Graph.from_edges(
+        2 * k, [(0, 1)] + [(2 * j - 1, 2 * j) for j in range(1, k)]
+        + [(2 * j - 1, 2 * j + 1) for j in range(1, k)])
+    yield "64-vertex star", Graph.from_edges(64, [(0, v) for v in range(1, 64)])
+
+
 def main() -> int:
     started = time.perf_counter()
     records = 0
@@ -169,6 +194,12 @@ def main() -> int:
                                             allow_hadamard=hadamard, max_gates=cap)
         digest = _digest(None if sched is None else schedule_text(sched))
         print(digest, f"{label} {target.sorted_edges()}{FLAGS[intra, hadamard]} --max-gates {cap}")
+        records += 1
+    for label, tree in join_cases():
+        sched = plan_join_sequence(tree)
+        digest = _digest(None if sched is None else schedule_text(sched))
+        edges = tree.sorted_edges() if tree.num_vertices <= 12 else ""
+        print(digest, f"join {label} {edges}".rstrip())
         records += 1
     print(f"{records} records in {time.perf_counter() - started:.2f} s", file=sys.stderr)
     return 0

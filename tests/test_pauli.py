@@ -56,7 +56,7 @@ def is_stabilized_by(group: StabilizerGroup, p: PauliString) -> bool:
 
 def test_accessors():
     p = PauliString(5, 0b00101, 0b10100, 2)  # X on 0, Y on 2, Z on 4, sign -1
-    assert p.support() == (0, 2, 4)
+    assert p.x_bits | p.z_bits == 0b10101  # the support: qubits 0, 2 and 4
     assert p.letter(1) == "I"
     assert p.letter(2) == "Y"
     assert p.sign == -1

@@ -1,10 +1,12 @@
 """Unit tests for schedules, the join planner, and the brute-force oracle."""
 
 import contextlib
+import functools
 import gc
 import itertools
 import random
 import sys
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
@@ -221,6 +223,121 @@ def test_join_planner_agrees_with_forest_oracle_on_six_vertices():
             assert execute_schedule(planned)[2] == tree
             assert execute_schedule(brute)[2] == tree
             assert brute.gate_count() == 2  # minimum for three pairs
+
+
+def _subtrees_off(
+    adj: tuple[int, ...], verts: int, support: int, leaf: int
+) -> list[tuple[int, int]]:
+    """Components of the tree minus `support`, excluding the bare leaf,
+    ordered by least member. Each comes back as (member mask, bit of the
+    root adjacent to support)."""
+    rest = verts & ~(1 << support | 1 << leaf)
+    return [(members, members & adj[support]) for members in component_masks(adj, rest)]
+
+
+def _attach(
+    adj: tuple[int, ...], hub: int, subtrees: list[tuple[int, int]]
+) -> tuple[tuple[int, ...], int]:
+    """Adjacency and vertex mask of hub plus the given subtrees, with each
+    subtree's root connected to the hub. Each subtree meets the removed
+    support vertex at its root only, so this is exact for both sides of
+    the decomposition: the support keeps precisely its root edges, and
+    the leaf acquires the roots it had before the join."""
+    keep = roots = 0
+    for members, root in subtrees:
+        keep |= members
+        roots |= root
+    new_adj = list(adj)
+    for v in bits(keep):
+        new_adj[v] = adj[v] & keep
+    for v in bits(roots):
+        new_adj[v] |= 1 << hub
+    new_adj[hub] = roots
+    return tuple(new_adj), keep | 1 << hub
+
+
+def _reference_splits(adj: tuple[int, ...], verts: int):
+    """The decomposition of the last join that plan_join_sequence ran on
+    its own before it shared _pre_images with the forest oracle, in its
+    order. A join that produced the tree turned some current leaf (with
+    neighbour support) into a leaf while support absorbed the leaf's old
+    neighbours. Removing support splits the tree into subtrees, which
+    divide into a group kept with support and a group re-rooted on the
+    leaf, each side of even total order (an odd count of odd subtrees).
+    Leaves come lowest first, and the groups as a mask counted in binary,
+    bit i sending subtree i to the leaf. Yields (support, leaf, support
+    side, leaf side), each side as (adj, verts)."""
+    for leaf in bits(verts):
+        if adj[leaf].bit_count() != 1:
+            continue
+        support = adj[leaf].bit_length() - 1
+        subtrees = _subtrees_off(adj, verts, support, leaf)
+        odd_flags = [members.bit_count() % 2 == 1 for members, _root in subtrees]
+        for mask in range(1 << len(subtrees)):
+            to_leaf_odd = sum(1 for i, odd in enumerate(odd_flags) if odd and mask >> i & 1)
+            to_support_odd = sum(odd_flags) - to_leaf_odd
+            if to_leaf_odd % 2 == 0 or to_support_odd % 2 == 0:
+                continue
+            support_side = [t for i, t in enumerate(subtrees) if not mask >> i & 1]
+            leaf_side = [t for i, t in enumerate(subtrees) if mask >> i & 1]
+            yield support, leaf, _attach(adj, support, support_side), _attach(adj, leaf, leaf_side)
+
+
+def _all_even(adj: tuple[int, ...]) -> bool:
+    """Whether every component of the graph on all of adj's vertices has
+    an even number of vertices."""
+    return all(c.bit_count() % 2 == 0 for c in component_masks(adj, (1 << len(adj)) - 1))
+
+
+def test_pre_images_are_the_even_splits_of_the_join_decomposition():
+    """On every tree of an even order from 2 to 10 vertices, and on two
+    seeded relabellings of each, _pre_images gives the splits of the
+    decomposition that plan_join_sequence used before it called
+    _pre_images (_reference_splits), in the same order: the same (i1, i2),
+    i2's side the leaf side's vertices, the rest the support side's, and
+    the pre-image's rows equal to each side's rows on its vertices. As a
+    set, they are the even splits of the all-subsets inverse."""
+    rng = random.Random(27)
+    trees = [tree for n in range(2, 11, 2) for tree in _trees(n)]
+    trees += [_relabelled(tree, rng) for tree in trees for _ in range(2)]
+    assert len(trees) == 3 * 138
+    splits = 0
+    for tree in trees:
+        n = tree.num_vertices
+        adj, verts = tree.adj, (1 << n) - 1
+        got = list(_pre_images(adj, verts))
+        expected = list(_reference_splits(adj, verts))
+        assert [(i1, i2, verts & ~side, side) for i1, i2, _pre, side in got] == [
+            (support, leaf, support_verts, leaf_verts)
+            for support, leaf, (_a, support_verts), (_b, leaf_verts) in expected
+        ], tree.sorted_edges()
+        for (_i1, _i2, pre, _side), (_s, _l, *sides) in zip(got, expected):
+            for side_adj, side_verts in sides:
+                assert [pre[v] for v in bits(side_verts)] == [side_adj[v] for v in bits(side_verts)]
+        assert sorted((i1, i2, pre) for i1, i2, pre, _side in got) == sorted(
+            (i1, i2, pre) for i1, i2, pre in _reference_pre_images(adj, n) if _all_even(pre))
+        splits += len(got)
+    assert splits == 13296
+
+
+def test_join_planner_verdict_is_membership_in_the_forward_sweep():
+    """plan_join_sequence and the forest oracle share _pre_images, so the
+    join planner's verdict is also checked against the unpruned forward
+    sweep, which shares no code with either: on four seeded relabellings
+    of each of the 23 eight-vertex trees, a schedule exists exactly when
+    the sweep reaches the tree, and it builds the tree."""
+    into = _forest_sweep(8)
+    rng = random.Random(23)
+    found = 0
+    for tree in _trees(8):
+        for _ in range(4):
+            target = _relabelled(tree, rng)
+            sched = plan_join_sequence(target)
+            assert (sched is not None) == (target.adj in into), target.sorted_edges()
+            if sched is not None:
+                assert execute_schedule(sched)[2] == target
+                found += 1
+    assert found == 4 * 3
 
 
 def test_brute_force_star_is_minimal():
@@ -453,6 +570,36 @@ def test_forest_engine_makes_no_breadth_first_call(monkeypatch):
         assert execute_schedule(sched)[2] == tree
 
 
+def test_forest_engine_rejects_cycles_and_odd_components_before_the_walk(monkeypatch):
+    """The pairs are even trees and a join merges two trees into one, so
+    no join sequence builds a cycle or an odd component. The forest
+    engine returns None for such a target without a _pre_images call: on
+    every labelled 4-vertex graph that is not a forest of even trees, on
+    6- and 8-vertex forests with odd components, and on net6 and two
+    triangles. Every forest of even trees that needs a join is walked."""
+    pre_images = planner._pre_images
+    walked = []
+    odd = [Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+           Graph.from_edges(8, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7)]),
+           Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (6, 7)]), NET6, TRIANGLES]
+    counts = {"rejected": 0, "walked": 0}
+    for target in list(_labelled_graphs(4)) + odd:
+        n = target.num_vertices
+        even_forest = len(target.edges) == n - len(target.components()) and _all_even(target.adj)
+        walked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "_pre_images",
+                          lambda *args: walked.append(args) or pre_images(*args))
+            sched = brute_force_schedule_search(target)
+        if not even_forest:
+            assert sched is None and walked == [], target.sorted_edges()
+            counts["rejected"] += 1
+        else:
+            assert bool(walked) == (len(target.components()) < n // 2), target.sorted_edges()
+            counts["walked"] += bool(walked)
+    assert counts == {"rejected": 64 - 19 + 5, "walked": 16}
+
+
 def test_forest_search_depth_counts_target_components():
     """A target of k components takes n/2 - k joins, so the forest engine
     finds it at that gate cap: the star plus a lone edge at 1, a 4-vertex
@@ -509,16 +656,48 @@ def test_stabilizer_search_matches_object_reference():
 # stabilizer engine's finishing steps -----
 
 
-def _reference_reaching(target: tuple[int, ...], n: int, joins: int) -> set[tuple[int, ...]]:
-    """The unpruned backward walk: every pre-image of every forest, for
-    `joins` joins back from the target."""
+def _reference_pre_images(adj: tuple[int, ...],
+                          n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every (i1, i2, E) with join_adjacency(E, i1, i2) equal to the
+    forest adj and i1, i2 in different components of E. A join leaves i2
+    a leaf of i1 and hands i1 the neighbours of i2, so inverting it picks
+    a leaf i2 of adj and gives back to i2 any subset of i1's other
+    neighbours: 2^(deg - 1) pre-images per leaf, the empty subset and the
+    full one included."""
+    for i2 in range(n):
+        if adj[i2].bit_count() != 1:
+            continue
+        i1 = adj[i2].bit_length() - 1
+        b1, b2 = 1 << i1, 1 << i2
+        others = adj[i1] & ~b2
+        taken = others
+        while True:
+            pre = list(adj)
+            for w in bits(taken):
+                pre[w] = pre[w] & ~b1 | b2
+            pre[i1] = others & ~taken
+            pre[i2] = taken
+            yield i1, i2, tuple(pre)
+            if not taken:
+                break
+            taken = taken - 1 & others
+
+
+def _reference_reaching(target: tuple[int, ...], n: int, joins: int, isolating: bool = True
+                        ) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The backward walk by _reference_pre_images, `joins` joins back
+    from the target, and its last layer: every pre-image of every forest,
+    or, without isolating, those that leave neither i1 nor i2 alone (the
+    forest engine's walk before it dropped odd components)."""
     reaching = layer = {target}
     for _ in range(joins):
-        layer = {pre for adj in layer for _i1, _i2, pre in _pre_images(adj, n)}
+        layer = {pre for adj in layer for i1, i2, pre in _reference_pre_images(adj, n)
+                 if isolating or pre[i1] and pre[i2]}
         reaching = reaching | layer
-    return reaching
+    return reaching, layer
 
 
+@functools.cache
 def _forest_sweep(n: int) -> dict[tuple[int, ...], set[tuple[int, int, tuple[int, ...]]]]:
     """The unpruned forward sweep over forests from the pairs on n
     vertices, each forest joined across every pair of its components,
@@ -546,16 +725,20 @@ def _separated(adj: tuple[int, ...], i1: int, i2: int) -> bool:
 
 
 def test_pre_images_invert_the_join():
-    """_pre_images is the exact inverse of a join across components: on
-    every labelled 4-vertex forest it equals the inverse found by joining
-    every labelled graph; on 8-vertex trees every edge of the unpruned
-    forward sweep into the backward set starts at one of its pre-images,
-    and each pre-image joins back from separate components. _reaching's
-    forests are the unpruned backward walk without the forests that
-    isolate a vertex, which no schedule builds; its last layer is the set's
-    forests farthest from the target; and every forest but the target has
-    a join across its components that lands in the set, which the greedy
-    walk of the forest engine takes."""
+    """The all-subsets _reference_pre_images is the exact inverse of a
+    join across components, on every labelled 4-vertex forest, against
+    the inverse found by joining every labelled graph; _pre_images is
+    that inverse restricted to even splits, on every such forest whose
+    components are all even, with side the component of i2. On 8-vertex
+    trees the unpruned forward sweep reaches no forest with an odd
+    component, and every edge of it into the backward set starts at one
+    of the pre-images of each inverse, which join back from separate
+    components. _reaching's forests are the reference walk's forests whose
+    components are all even; its last layer is the set's forests farthest
+    from the target; and every forest but the target has a join across its
+    components that lands in the set, which the greedy walk of the forest
+    engine takes. The reference walk without isolating forests has
+    17,934 such joins, and each forest of _reaching has the same joins."""
     graphs = [g.adj for g in _labelled_graphs(4)]
     inverse: dict[tuple, list] = {}
     for adj in graphs:
@@ -566,38 +749,57 @@ def test_pre_images_invert_the_join():
                if sum(map(int.bit_count, adj)) == 2 * (4 - len(component_masks(adj, 15)))]
     assert len(forests) == 38
     for adj in forests:
-        assert sorted(_pre_images(adj, 4)) == sorted(inverse.get(adj, [])), adj
+        assert sorted(_reference_pre_images(adj, 4)) == sorted(inverse.get(adj, [])), adj
+    even = [adj for adj in forests if _all_even(adj)]
+    assert len(even) == 16 + 3  # the labelled trees and the perfect matchings
+    for adj in even:
+        pre = list(_pre_images(adj, 15))
+        assert sorted((i1, i2, before) for i1, i2, before, _side in pre) == sorted(
+            (i1, i2, before) for i1, i2, before in inverse.get(adj, []) if _all_even(before)), adj
+        for _i1, i2, before, side in pre:
+            assert side in component_masks(before, 15) and side >> i2 & 1
 
     rng = random.Random(10)
     protocol = plan_tree_protocol(2).target
     trees = [protocol] * 4 + rng.sample(list(_trees(8)), 8)
     into = _forest_sweep(8)
     assert sum(map(len, into.values())) == 5040 + 33600 + 82432
+    assert all(_all_even(forest) for forest in into)
     reached = 0
     edge_count = 0
     for target in [protocol] + [_relabelled(tree, rng) for tree in trees[1:]]:
-        walk = _reference_reaching(target.adj, 8, 3)
+        walk, _walk_last = _reference_reaching(target.adj, 8, 3)
         reaching, last_layer = _reaching(target.adj, 8, 3)
-        assert reaching == {forest for forest in walk if all(forest)}
+        assert reaching == {forest for forest in walk if _all_even(forest)}
         assert len(set(last_layer)) == len(last_layer)
         assert set(last_layer) == {forest for forest in reaching
                                    if len(component_masks(forest, 255)) == 4}
-        for forest in reaching:
+        unisolated = {forest for forest in walk if all(forest)}
+        for forest in unisolated:
             # every join across components into the set: none from the
             # target, at least one from every other forest
             comp = {v: c for c in component_masks(forest, 255) for v in bits(c)}
-            edges = [(i1, i2) for i1, i2 in itertools.permutations(range(8), 2)
-                     if comp[i1] != comp[i2] and join_adjacency(forest, i1, i2) in reaching]
+            pairs = [(i1, i2) for i1, i2 in itertools.permutations(range(8), 2)
+                     if comp[i1] != comp[i2]]
+            edges = [(i1, i2) for i1, i2 in pairs if join_adjacency(forest, i1, i2) in unisolated]
             assert bool(edges) == (forest != target.adj), (target.sorted_edges(), forest)
             edge_count += len(edges)
+            if forest in reaching:
+                assert edges == [(i1, i2) for i1, i2 in pairs
+                                 if join_adjacency(forest, i1, i2) in reaching]
         for forest in walk:
-            pre = list(_pre_images(forest, 8))
+            pre = list(_reference_pre_images(forest, 8))
             leaves = [i2 for i2, row in enumerate(forest) if row.bit_count() == 1]
             assert len(set(pre)) == len(pre) == sum(
                 1 << forest[forest[i2].bit_length() - 1].bit_count() - 1 for i2 in leaves)
             for i1, i2, before in pre:
                 assert _separated(before, i1, i2) and join_adjacency(before, i1, i2) == forest
             assert into.get(forest, set()) <= set(pre)
+            if forest in reaching:
+                even_pre = [(i1, i2, before) for i1, i2, before, _side in _pre_images(forest, 255)]
+                for i1, i2, before in even_pre:
+                    assert _separated(before, i1, i2) and join_adjacency(before, i1, i2) == forest
+                assert into.get(forest, set()) <= set(even_pre)
         reached += target.adj in into
     assert reached == 4 + 3  # the protocol tree four times, and three sampled trees
     assert edge_count == 17934
@@ -1053,7 +1255,7 @@ def _engine_expand(monkeypatch, n: int):
     with monkeypatch.context() as patch:
         patch.setattr(planner, "_breadth_first", lambda target, roots, expand, *args:
                       captured.append(expand))
-        planner._search_stabilizer(Graph.from_edges(n, []), True, False, n)
+        planner._search_stabilizer(Graph.from_edges(n, []), True, False, n, 0)
     return captured[0]
 
 
@@ -1177,10 +1379,13 @@ def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
     layer, and it makes no _matchings call. On a seeded relabelling of
     every tree of 2 to 8 vertices, on forests with an isolated vertex and
     with 3-vertex components, and on targets that are themselves
-    matchings, the root is the first reference root in the walk's set. A
-    target whose walk reaches no matching ends with no join; the last
-    layer of the walk of a forest with an isolated vertex or an odd
-    component holds other forests, which must not become roots."""
+    matchings, the root is the first reference root in the reference
+    walk's set. A target whose walk reaches no matching ends with no join.
+    The last layer of the reference walk (without isolating forests) of a
+    forest with an isolated vertex or an odd component holds other
+    forests; the engine walks no such target, and its last layer, the
+    reference's forests whose components are all even, holds matchings
+    only."""
     rng = random.Random(23)
     targets = [_relabelled(tree, rng) for n in (2, 4, 6, 8) for tree in _trees(n)]
     forests = [
@@ -1192,22 +1397,33 @@ def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
         Graph.from_edges(4, [(0, 3), (1, 2)]),  # matchings
         Graph.from_edges(8, [(0, 5), (1, 7), (2, 3), (4, 6)]),
     ]
-    matchings_calls, joins = [], []
-    join = planner.join_adjacency
-    counts = {"roots": 0, "other forests": 0, "unreachable": 0}
+    matchings_calls, joins, walked = [], [], []
+    join, pre_images = planner.join_adjacency, planner._pre_images
+    counts = {"roots": 0, "other forests": 0, "unreachable": 0, "walked": 0}
     for target in targets + forests:
         n = target.num_vertices
-        reaching, last_layer = _reaching(target.adj, n, n // 2 - len(target.components()))
+        depth = n // 2 - len(target.components())
+        walk, walk_last = _reference_reaching(target.adj, n, depth, isolating=False)
         reference = [(m, adj) for m, adj in _reference_roots(n, _reference_forest_start(n))
-                     if adj in reaching][:1]
+                     if adj in walk][:1]
+        counts["other forests"] += sum(1 for adj in walk_last if not all(adj))
+        if _all_even(target.adj):
+            reaching, last_layer = _reaching(target.adj, n, depth)
+            assert reaching == {adj for adj in walk if _all_even(adj)}
+            assert set(last_layer) == {adj for adj in walk_last if _all_even(adj)}
+            assert all(row.bit_count() == 1 for adj in last_layer for row in adj)
         with monkeypatch.context() as patch:
             patch.setattr(planner, "_matchings", lambda *args: matchings_calls.append(args))
             patch.setattr(planner, "join_adjacency", lambda *args: joins.append(args) or join(*args))
+            patch.setattr(planner, "_pre_images",
+                          lambda *args: walked.append(args) or pre_images(*args))
             joins.clear()
+            walked.clear()
             roots = _engine_roots(patch, target)
         assert roots == reference, target.sorted_edges()
         counts["roots"] += len(roots)
-        counts["other forests"] += sum(1 for adj in last_layer if not all(adj))
+        counts["walked"] += bool(walked)
+        assert bool(walked) == (_all_even(target.adj) and depth > 0), target.sorted_edges()
         if not roots:
             assert joins == [], target.sorted_edges()
             counts["unreachable"] += 1
@@ -1217,7 +1433,7 @@ def test_forest_roots_are_the_matchings_the_walk_reaches(monkeypatch):
             assert brute_force_schedule_search(target) == _reference_search(target)
     for matching in forests[-2:]:
         assert brute_force_schedule_search(matching).gate_count() == 0
-    assert counts == {"roots": 9, "other forests": 19, "unreachable": 30}
+    assert counts == {"roots": 9, "other forests": 19, "unreachable": 30, "walked": 31}
 
 
 def _gate_lower_bound(target: Graph, allow_hadamard: bool) -> int:
