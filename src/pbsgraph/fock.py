@@ -13,9 +13,9 @@ Qubit encoding: a single H photon in a port is |0>, a single V photon
 is |1>. One builder, _dual_rail, makes every such FockState; _dual_rail_array
 reads one back as a dense array. Between gates every port holds exactly
 one photon, so the whole-schedule oracle (planner.execute_schedule_fock)
-and the stabilizer bridge hold a state of n qubits as a numpy array of
-shape (2,)*n, axis k the k-th smallest port and index 0 or 1 its H or V
-photon, capped at MAX_DENSE_QUBITS (2**16 amplitudes, 1 MB).
+and the stabilizer bridge (from canonical rows) hold a state of n qubits
+as a numpy array of shape (2,)*n, axis k the k-th smallest port and index
+0 or 1 its H or V photon, capped at MAX_DENSE_QUBITS (2**16 amplitudes).
 FockState.validate() runs only where a state enters or leaves the
 layer: tensor's inputs, the builder's result and _dual_rail_array's
 input; mode operations keep valid states valid.
@@ -218,15 +218,6 @@ def tensor(a: FockState, b: FockState) -> FockState:
 # ===== stabilizer bridge =====
 
 
-def _apply_pauli_to_vector(pauli, vector: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """p|b> = i**(phase + #Y) * (-1)^{popcount(b & z)} |b xor x>, with
-    indices the basis indices np.arange(len(vector)): entry c of the
-    result is the term of b = c xor x."""
-    signs = 1.0 - 2.0 * (np.bitwise_count(indices & pauli.z_bits) & 1)
-    factor = 1j ** ((pauli.phase + (pauli.x_bits & pauli.z_bits).bit_count()) % 4)
-    return (factor * signs * vector)[indices ^ pauli.x_bits]
-
-
 def _norm_squared(array: np.ndarray) -> float:
     """Sum of |amplitude|^2 of a dense array by numpy's own reduction, not
     a BLAS dot product: on 2**14 or more amplitudes those wake OpenBLAS
@@ -235,17 +226,16 @@ def _norm_squared(array: np.ndarray) -> float:
     return float(np.sum(array.real ** 2 + array.imag ** 2))
 
 
-def _lowest_support_state(group: StabilizerGroup) -> int:
-    """The lowest basis index b (bit q is qubit q) where the group's state
-    has nonzero amplitude. The support is {b : z.b = s for every element
-    (-1)**s Z^z of the Z-type subgroup}. The canonical rows with no X bit
-    span that subgroup, each leading with its own lowest Z bit and no
-    other row's leading bit, so setting every non-leading bit to 0 leaves
-    each leading bit equal to its row's sign bit, and that b is the
-    lowest solution."""
-    n = group.num_qubits
+def _lowest_support_state(canonical: tuple[int, ...], n: int) -> int:
+    """The lowest basis index b (bit q is qubit q) where the state of the
+    group with these canonical rows has nonzero amplitude. The support
+    is {b : z.b = s for every element (-1)**s Z^z of the Z-type
+    subgroup}. The canonical rows with no X bit span that subgroup, each
+    leading with its own lowest Z bit and no other row's leading bit, so
+    setting every non-leading bit to 0 leaves each leading bit equal to
+    its row's sign bit, and that b is the lowest solution."""
     start = 0
-    for row in _canonical_rows_of(group):
+    for row in canonical:
         if not row & ((1 << n) - 1):
             pivot = (row & -row).bit_length() - 1 - n
             start |= (row >> 2 * n) << pivot
@@ -256,8 +246,11 @@ def qubit_statevector_from_stabilizers(
     group: StabilizerGroup, ports: Sequence[int] | None = None
 ) -> np.ndarray:
     """Dense dual-rail array of the (unique) state a stabilizer group
-    fixes, built by applying the projectors (1 + g)/2 to the lowest basis
-    state in its support and normalizing.
+    fixes: the projectors (1 + g)/2 of its canonical rows applied to the
+    lowest basis state in its support, and normalized. A row with no X
+    bit fixes every state the others reach, so only the rows with X bits
+    are applied; their X parts are independent, so each one doubles the
+    support onto a disjoint copy, for O(2**n) work in all.
 
     Qubit q sits on port ports[q] (default: port q), and axis k of the
     result, of shape (2,)*n, is the k-th smallest port; index 0 is one H
@@ -272,17 +265,24 @@ def qubit_statevector_from_stabilizers(
         ports = list(range(n))
     if len(ports) != n or len(set(ports)) != n:
         raise ValueError("need one distinct port per qubit")
+    canonical = _canonical_rows_of(group)
+    mask = (1 << n) - 1
+    # a row (-1)**s P maps |c> to i**(2s + #Y) * (-1)**popcount(c & z) |c xor x>
+    support = np.array([_lowest_support_state(canonical, n)])
+    amplitudes = np.ones(1, dtype=complex)
+    for row in canonical:
+        x, z = row & mask, row >> n & mask
+        if x:
+            signs = 1.0 - 2.0 * (np.bitwise_count(support & z) & 1)
+            factor = 1j ** (((row >> 2 * n << 1) + (x & z).bit_count()) % 4)
+            amplitudes = np.concatenate((amplitudes, factor * signs * amplitudes))
+            support = np.concatenate((support, support ^ x))
     vector = np.zeros(1 << n, dtype=complex)
-    vector[_lowest_support_state(group)] = 1.0
-    indices = np.arange(1 << n)
-    for g in group.generators:
-        vector = (vector + _apply_pauli_to_vector(g, vector, indices)) / 2
-    nrm = math.sqrt(_norm_squared(vector))
-    if nrm <= 1e-9:
-        raise AssertionError("projector annihilated the lowest support state")
+    vector[support] = amplitudes
+    vector /= math.sqrt(_norm_squared(vector))
     # reshaped, axis j is bit n-1-j, that is qubit n-1-j
     by_port = sorted(range(n), key=lambda q: ports[q])
-    return np.ascontiguousarray((vector / nrm).reshape((2,) * n).transpose(
+    return np.ascontiguousarray(vector.reshape((2,) * n).transpose(
         [n - 1 - q for q in by_port]))
 
 

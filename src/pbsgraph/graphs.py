@@ -6,13 +6,14 @@ generator of vertex i, and every iteration over a mask visits its set
 bits lowest first (`bits`).
 
 A graph state on n vertices is the stabilizer state with one generator
-per vertex: X on the vertex, Z on each neighbour, sign +1. The fusion
+per vertex, X on the vertex and Z on each neighbour, sign +1: the packed
+row 1 << i | adj[i] << n, built directly from the masks. The fusion
 gate is a postselected Z x Z parity measurement on two qubits followed
 by a Hadamard on the second one; on two disjoint graph states it joins
 the graphs: i1 inherits both neighbourhoods and i2 becomes a leaf of i1.
 
 Conversion back from stabilizer form is exact-form only: a group whose
-canonical form is not literally [I | adjacency] with +1 signs is
+canonical rows are not literally [I | adjacency] with +1 signs is
 reported as not-a-graph (None), never searched for a local-Clifford
 equivalent.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .pauli import PauliString, StabilizerGroup, bits
+from .pauli import StabilizerGroup, bits
 
 _MAX_VERTICES = 1 << 16  # per edge-list file: a Graph holds one row per vertex
 
@@ -102,21 +103,33 @@ class Graph:
 # ===== stabilizer conversions =====
 
 
+def _graph_rows(adj: tuple[int, ...], n: int, signs: int = 0) -> tuple[int, ...]:
+    """The canonical packed rows of Z^s|G>, G the graph on adj and s_i
+    bit i of signs: row i is (-1)^s_i X_i Z^adj[i], since Z_i flips the
+    sign of exactly the one generator with X on i. Each row's only X bit
+    is its pivot, so the rows are already fully reduced."""
+    rows = [1 << i | a << n for i, a in enumerate(adj)]
+    for i in bits(signs):
+        rows[i] |= 1 << 2 * n
+    return tuple(rows)
+
+
 def graph_to_stabilizers(graph: Graph) -> StabilizerGroup:
     """Generator for vertex i: X_i times Z on every neighbour, sign +1."""
-    n = graph.num_vertices
-    return StabilizerGroup(n, tuple(PauliString(n, 1 << i, row) for i, row in enumerate(graph.adj)))
+    return StabilizerGroup(graph.num_vertices, _rows=_graph_rows(graph.adj, graph.num_vertices))
 
 
 def stabilizers_to_graph(group: StabilizerGroup) -> Graph | None:
     """Exact-form extraction: canonical form must be X-part identity,
     zero-diagonal Z-part, all signs +1. Returns None otherwise; Graph
     raises ValueError if the Z-part is not symmetric."""
-    canon = group.canonical_form().generators
-    # a Z bit on the diagonal makes a Y letter, which is not graph form
-    if any(g.x_bits != 1 << i or g.z_bits >> i & 1 or g.phase for i, g in enumerate(canon)):
+    n = group.num_qubits
+    rows = group.canonical_form()._rows
+    # of its X bits, sign and diagonal Z bit (a Y letter), row i has X_i only
+    kept = (1 << n) - 1 | 1 << 2 * n
+    if any(row & (kept | 1 << n + i) != 1 << i for i, row in enumerate(rows)):
         return None
-    return Graph(group.num_qubits, tuple(g.z_bits for g in canon))
+    return Graph(n, tuple(row >> n for row in rows))
 
 
 # ===== the fusion gate =====

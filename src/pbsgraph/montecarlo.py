@@ -35,9 +35,7 @@ so results are independent of execution order and thread count.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Sequence
@@ -332,6 +330,12 @@ def _confirm_connection_qubit(seg: Segment, detector: DetectorModel, u: _Uniform
     return registered or dark
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' pool, imported on first use: it loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def _run_trial_range(
     args: tuple,
 ) -> tuple[list[list[int]], list[int], list[int]]:
@@ -408,6 +412,7 @@ class SimResult:
     def _pulse_summary(self, values: Sequence[int]) -> dict:
         if not values:
             return {"mean": None, "median": None, "geomean": None}
+        import statistics  # loaded on first use, not with the package
         n = len(values)
         return {
             "mean": math.fsum(values) / n,

@@ -7,16 +7,15 @@ the (x, z) bit pair (Y when both bits are set). Hermitian strings, which
 include every stabilizer generator, have k in {0, 2}, i.e. sign +1 or -1.
 
 Bit j of a mask is qubit j, so masks are plain Python ints and XOR,
-AND and int.bit_count give the group algebra in O(words). The row
-reduction, validation and measurement work on those ints directly (the
-packed symplectic rows of Aaronson & Gottesman, quant-ph/0406196) and
-build PauliString objects only for the rows they return.
+AND and int.bit_count give the group algebra in O(words).
 
-A packed row is one int x | z << n | s << 2n for the Hermitian string of
-sign (-1)**s. Rows of a stabilizer group commute, so their products stay
-Hermitian and one sign bit carries the phase. The brute-force search in
-planner runs on tuples of canonical packed rows through the private
-kernels at the end of this module.
+A StabilizerGroup holds packed rows (Aaronson & Gottesman,
+quant-ph/0406196): one int x | z << n | s << 2n per Hermitian generator
+of sign (-1)**s. Its rows commute, so their products stay Hermitian and
+one sign bit carries the phase. Its gates, row reduction and validation
+run the private row kernels at the end of this module, as the
+brute-force search in planner does on tuples of canonical rows;
+PauliStrings are built only when generators is read.
 """
 
 from __future__ import annotations
@@ -121,15 +120,6 @@ class PauliString:
         phase = self.phase + other.phase + _product_phase(x1, z1, x2, z2)
         return PauliString(self.num_qubits, x1 ^ x2, z1 ^ z2, phase % 4)
 
-    def conjugate_hadamard(self, q: int) -> "PauliString":
-        """H on qubit q: X <-> Z there; a Y picks up a sign flip."""
-        bit = 1 << q
-        x, z = self.x_bits, self.z_bits
-        new_x = (x & ~bit) | (bit if z & bit else 0)
-        new_z = (z & ~bit) | (bit if x & bit else 0)
-        phase = (self.phase + (2 if (x & z & bit) else 0)) % 4
-        return PauliString(self.num_qubits, new_x, new_z, phase)
-
 
 def _gf2_rank(rows: Iterable[int]) -> int:
     """Rank of bit-mask rows over GF(2): each row is reduced by the pivot
@@ -146,55 +136,77 @@ def _gf2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
 class StabilizerGroup:
     """A maximal stabilizer group: n independent commuting Hermitian
-    generators with sign +1 or -1 on n qubits.
+    generators with sign +1 or -1 on n qubits, held as n packed rows.
 
-    Instances are immutable; operations return new groups and keep them
-    valid (Aaronson & Gottesman, quant-ph/0406196), so validate() runs only
-    in from_labels, execute_schedule and fock.qubit_statevector_from_stabilizers.
+    generators is a view of the rows as PauliStrings, unpacked on first
+    read. A group built from PauliStrings keeps them, so validate() still
+    sees what a row cannot hold: a non-Hermitian phase or another qubit
+    count. Groups are not changed once built; operations return new
+    groups and keep them valid (Aaronson & Gottesman, quant-ph/0406196),
+    so validate() runs only in from_labels, execute_schedule and
+    fock.qubit_statevector_from_stabilizers.
     """
 
-    num_qubits: int
-    generators: tuple[PauliString, ...]
+    __slots__ = ("num_qubits", "_rows", "_generators")
+
+    def __init__(self, num_qubits: int, generators: Iterable[PauliString] = (), *,
+                 _rows: tuple[int, ...] | None = None) -> None:
+        self.num_qubits = num_qubits
+        self._generators = None if _rows is not None else tuple(generators)
+        self._rows = _rows if _rows is not None else tuple(map(_pack, self._generators))
+
+    @property
+    def generators(self) -> tuple[PauliString, ...]:
+        if self._generators is None:
+            self._generators = tuple(_unpack(row, self.num_qubits) for row in self._rows)
+        return self._generators
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StabilizerGroup):
+            return NotImplemented
+        return (self.num_qubits, self.generators) == (other.num_qubits, other.generators)
+
+    def __hash__(self) -> int:  # equal generators pack to equal rows
+        return hash((self.num_qubits, self._rows))
+
+    def __repr__(self) -> str:
+        return f"StabilizerGroup(num_qubits={self.num_qubits}, generators={self.generators!r})"
 
     def validate(self) -> "StabilizerGroup":
         """Raise ValueError unless this is a stabilizer group; return it."""
-        n = self.num_qubits
-        gens = self.generators
-        if len(gens) != n:
-            raise ValueError(f"need exactly {n} generators, got {len(gens)}")
-        for g in gens:
+        n, rows = self.num_qubits, self._rows
+        if len(rows) != n:
+            raise ValueError(f"need exactly {n} generators, got {len(rows)}")
+        for g in self._generators or ():
             if g.num_qubits != n:
                 raise ValueError("generator qubit count mismatch")
             if not g.is_hermitian:
                 raise ValueError(f"generator {g} is not Hermitian")
             if g.is_identity:
                 raise ValueError("identity cannot be a generator")
-        # Bit i of col_x[q] (col_z[q]) is generator i's X (Z) bit on qubit
-        # q. Generator i's anticommutation row, bit j set when it
-        # anticommutes with generator j, is then the XOR of col_z over its
-        # X support and col_x over its Z support: O(total weight) in all.
-        col_x, col_z = [0] * n, [0] * n
-        for i, g in enumerate(gens):
-            for q in bits(g.x_bits):
-                col_x[q] |= 1 << i
-            for q in bits(g.z_bits):
-                col_z[q] |= 1 << i
-        for i, g in enumerate(gens):
+        full = (1 << 2 * n) - 1
+        # Bit i of cols[c] is row i's bit c. Row i's anticommutation mask,
+        # bit j set when it anticommutes with row j, is then the XOR of
+        # the partner columns (x_q with z_q) over its support: O(total
+        # weight) in all.
+        cols = [0] * 2 * n
+        for i, row in enumerate(rows):
+            for c in bits(row & full):
+                cols[c] |= 1 << i
+        partner = cols[n:] + cols[:n]
+        for i, row in enumerate(rows):
             anti = 0
-            for q in bits(g.x_bits):
-                anti ^= col_z[q]
-            for q in bits(g.z_bits):
-                anti ^= col_x[q]
+            for c in bits(row & full):
+                anti ^= partner[c]
             later = anti >> i + 1
             if later:
                 j = i + (later & -later).bit_length()
                 raise ValueError(f"generators {i} and {j} anticommute")
         # X bits high: a graph-state row then leads with its own vertex
-        rows = [g.z_bits | g.x_bits << n for g in gens]
-        if _gf2_rank(rows) != n:
+        mask = (1 << n) - 1
+        if _gf2_rank(row >> n & mask | (row & mask) << n for row in rows) != n:
             raise ValueError("generators are not independent")
         return self
 
@@ -211,11 +223,10 @@ class StabilizerGroup:
     # ----- Clifford conjugation -----
 
     def apply_hadamard(self, q: int) -> "StabilizerGroup":
-        if not 0 <= q < self.num_qubits:
+        n = self.num_qubits
+        if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range")
-        bit = 1 << q  # generators without support on q are unchanged
-        gens = [g.conjugate_hadamard(q) if (g.x_bits | g.z_bits) & bit else g for g in self.generators]
-        return StabilizerGroup(self.num_qubits, tuple(gens))
+        return StabilizerGroup(n, _rows=_hadamard_rows(self._rows, n, q))
 
     # ----- measurement -----
 
@@ -234,25 +245,8 @@ class StabilizerGroup:
         for q in (q1, q2):
             if not 0 <= q < n:
                 raise ValueError(f"qubit {q} out of range")
-        observable = PauliString(n, 0, 1 << q1 | 1 << q2)
-        # Z_q1 Z_q2 anticommutes with g iff g's X bits on q1 and q2 differ
-        anti = [i for i, g in enumerate(self.generators) if (g.x_bits >> q1 ^ g.x_bits >> q2) & 1]
-        if anti:
-            first = anti[0]
-            g = self.generators[first]
-            new_gens = list(self.generators)
-            for i in anti[1:]:
-                new_gens[i] = new_gens[i] * g
-            new_gens[first] = observable
-            return 0.5, StabilizerGroup(n, tuple(new_gens))
-        # reduced by the canonical rows: 0 when the observable is in the
-        # group, the sign bit alone when its negative is
-        residual = _residual(_canonical_rows_of(self), _pack(observable), n)
-        if residual not in (0, 1 << 2 * n):
-            raise AssertionError("observable commutes with a maximal group but is not in it")
-        if residual == 0:
-            return 1.0, self
-        return 0.0, None
+        prob, rows = _zz_postselect_rows(self._rows, n, q1, q2, canonical=False)
+        return prob, None if rows is None else StabilizerGroup(n, _rows=rows)
 
     # ----- canonical form -----
 
@@ -263,12 +257,7 @@ class StabilizerGroup:
         Two groups are equal as groups iff their canonical forms have
         identical generator tuples.
         """
-        n = self.num_qubits
-        packed = [_pack(g) for g in self.generators]
-        # an untouched row comes back as its generator: cheaper than a new object
-        given = dict(zip(packed, self.generators))
-        rows = _canonical_rows(packed, n)
-        return StabilizerGroup(n, tuple(given.get(row) or _unpack(row, n) for row in rows))
+        return StabilizerGroup(self.num_qubits, _rows=_canonical_rows_of(self))
 
 
 # ----- packed rows: the kernels behind canonical_form and the search -----
@@ -295,39 +284,45 @@ def _packed_product(a: int, b: int, n: int) -> int:
 
 def _canonical_rows(rows: Iterable[int], n: int) -> tuple[int, ...]:
     """The one row reduction: reduced row echelon form of commuting packed
-    rows over columns (x_0..x_{n-1}, z_0..z_{n-1}), bit c being column c.
-
-    Each pivot row clears its column everywhere else, including rows
-    already pivoted, so the result is fully reduced, not just echelon:
+    rows over columns (x_0..x_{n-1}, z_0..z_{n-1}), bit c being column c,
     unique for the group, signs included. Rows come back in pivot order,
-    each leading with its pivot (its lowest set bit); rows that reduce
-    to zero are dropped.
+    each leading with its pivot (its lowest set bit), which no other row
+    has; rows that reduce to zero are dropped.
+
+    It is an incremental Gauss-Jordan reduction that keeps the pivot rows
+    found so far reduced. A new row times each pivot row whose pivot bit
+    it has (row & pivot_mask) loses that bit and gains no pivot bit. If
+    what is left is not zero, its lowest bit b is a new pivot, and each
+    earlier pivot row p holding b is multiplied by it: that clears b,
+    adds no pivot bit and keeps p lowest, as the new row has no bit below
+    b > p. So the rows end as a reduced echelon basis of the group's x|z
+    part, which is unique. Each is a group element, and a stabilizer
+    group holds each Pauli with one sign only (it does not hold -I), so
+    the signs are unique too.
     """
-    rows = list(rows)
-    m = len(rows)
-    top = 0
-    for col in range(2 * n):
-        bit = 1 << col
-        for found in range(top, m):
-            if rows[found] & bit:
-                break
-        else:
+    full = (1 << 2 * n) - 1
+    pivots: dict[int, int] = {}  # pivot bit -> its row
+    pivot_mask = 0
+    for row in rows:
+        hit = row & pivot_mask
+        while hit:
+            low = hit & -hit
+            row = _packed_product(row, pivots[low], n)
+            hit ^= low
+        if not row & full:
             continue
-        pivot = rows[found]
-        rows[found] = rows[top]
-        rows[top] = pivot
-        for i in range(m):
-            if i != top and rows[i] & bit:
-                rows[i] = _packed_product(rows[i], pivot, n)
-        top += 1
-        if top == m:
-            break
-    return tuple(rows[:top])
+        low = row & -row
+        for bit, pivot_row in pivots.items():
+            if pivot_row & low:
+                pivots[bit] = _packed_product(pivot_row, row, n)
+        pivots[low] = row
+        pivot_mask |= low
+    return tuple(pivots[bit] for bit in sorted(pivots))
 
 
 def _canonical_rows_of(group: StabilizerGroup) -> tuple[int, ...]:
-    """The group's canonical packed rows: canonical_form, packed."""
-    return _canonical_rows(map(_pack, group.generators), group.num_qubits)
+    """The group's canonical packed rows: canonical_form's rows."""
+    return _canonical_rows(group._rows, group.num_qubits)
 
 
 def _residual(canonical: tuple[int, ...], row: int, n: int) -> int:
@@ -340,36 +335,32 @@ def _residual(canonical: tuple[int, ...], row: int, n: int) -> int:
 
 
 def _zz_postselect_rows(
-    canonical: tuple[int, ...], n: int, q1: int, q2: int
+    rows: tuple[int, ...], n: int, q1: int, q2: int, canonical: bool = True
 ) -> tuple[float, tuple[int, ...] | None]:
-    """measure_zz_postselect on canonical packed rows: the probability of
-    the +1 outcome of Z_q1 Z_q2 and the rows after keeping it (not
-    canonical in general), or (0.0, None) when it is impossible."""
+    """measure_zz_postselect on packed rows, canonical unless told not:
+    the probability of the +1 outcome of Z_q1 Z_q2 and the rows after
+    keeping it (not canonical in general), or (0.0, None) when it is
+    impossible. Other rows are reduced only if none anticommutes."""
     observable = (1 << q1 | 1 << q2) << n
     # Z_q1 Z_q2 anticommutes with a row iff its X bits on q1 and q2 differ
-    anti = [i for i, row in enumerate(canonical) if (row >> q1 ^ row >> q2) & 1]
+    anti = [i for i, row in enumerate(rows) if (row >> q1 ^ row >> q2) & 1]
     if not anti:
-        if _residual(canonical, observable, n) == 0:
-            return 1.0, canonical
+        reduced = rows if canonical else _canonical_rows(rows, n)
+        if _residual(reduced, observable, n) == 0:
+            return 1.0, rows
         return 0.0, None
     first = anti[0]
-    g = canonical[first]
-    rows = list(canonical)
+    g = rows[first]
+    out = list(rows)
     for i in anti[1:]:
-        rows[i] = _packed_product(rows[i], g, n)
-    rows[first] = observable
-    return 0.5, tuple(rows)
+        out[i] = _packed_product(out[i], g, n)
+    out[first] = observable
+    return 0.5, tuple(out)
 
 
 def _hadamard_rows(rows: Iterable[int], n: int, q: int) -> tuple[int, ...]:
     """apply_hadamard on packed rows: X and Z swap on qubit q, and a Y
     there picks up a sign flip."""
-    x, z, sign = 1 << q, 1 << n + q, 1 << 2 * n
-    out = []
-    for row in rows:
-        if row & x and row & z:
-            row ^= sign
-        elif row & (x | z):
-            row ^= x | z
-        out.append(row)
-    return tuple(out)
+    xz, sign = 1 << q | 1 << n + q, 1 << 2 * n
+    return tuple(row ^ sign if row & xz == xz else row ^ xz if row & xz else row
+                 for row in rows)

@@ -25,8 +25,8 @@ That scan builds no successor: it tests whether the step's result is the
 goal by stabilizer membership, row by row, and it is skipped on states
 with too few gates to finish: a target with k components takes at least
 n/2 - k gates, one more for a cycle without bare Hadamards. Both keep
-bare ints as search states; the StabilizerGroup methods that
-execute_schedule uses stay the reference for the packed kernels.
+bare ints as search states, and the tableau steps run the row kernels
+of StabilizerGroup, which execute_schedule uses.
 
 execute_schedule runs any schedule through the stabilizer engine and
 reports the cumulative postselection probability; execute_schedule_fock
@@ -53,6 +53,7 @@ from .fock import (
 )
 from .graphs import (
     Graph,
+    _graph_rows,
     apply_pbs_gate,
     bits,
     component_masks,
@@ -63,7 +64,6 @@ from .graphs import (
 from .pauli import (
     StabilizerGroup,
     _canonical_rows,
-    _canonical_rows_of,
     _hadamard_rows,
     _packed_product,
     _residual,
@@ -685,17 +685,6 @@ def _outside_masks(adj: tuple[int, ...], n: int) -> list[int]:
     return outside
 
 
-def _graph_rows(adj: tuple[int, ...], n: int, signs: int = 0) -> tuple[int, ...]:
-    """The canonical packed rows of Z^s|G>, G the graph on adj and s_i
-    bit i of signs: row i is (-1)^s_i X_i Z^adj[i], since Z_i flips the
-    sign of exactly the one generator with X on i. Each row's only X bit
-    is its pivot, so the rows are already fully reduced."""
-    rows = [1 << i | a << n for i, a in enumerate(adj)]
-    for i in bits(signs):
-        rows[i] |= 1 << 2 * n
-    return tuple(rows)
-
-
 def _pair_adjacency(matching: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     """The adjacency masks of the Bell pairs on a perfect matching."""
     adj = [0] * n
@@ -813,7 +802,7 @@ def _search_stabilizer(
     gates = [[PbsGate(i1, i2) for i2 in range(n)] for i1 in range(n)]
     hadamards = [Hadamard(q) for q in range(n)]
 
-    goal = _canonical_rows_of(graph_to_stabilizers(target))
+    goal = _graph_rows(target.adj, n)
     every_gate = [(i1, i2) for i1 in range(n) for i2 in range(n) if i1 != i2]
     # each gate onto a target leaf, with the goal before that gate's Hadamard
     finishing = [(i1, i2, _canonical_rows(_hadamard_rows(goal, n, i2), n))
@@ -837,12 +826,11 @@ def _search_stabilizer(
 
     def expand(key: tuple):
         rows, parts = key
-        # graph form up to signs iff rows are the signed graph rows of
-        # adj, read with the diagonal Z bit dropped
-        adj = tuple(row >> n & everyone & ~(1 << i) for i, row in enumerate(rows))
-        signs = sum(row >> 2 * n << i for i, row in enumerate(rows))
         outside, lone, twins = [0] * n, 0, 0
-        if _graph_rows(adj, n, signs) == rows:
+        # graph form up to signs: row i has X_i as its only X bit, and no Z_i
+        if all(row & (everyone | 1 << n + i) == 1 << i for i, row in enumerate(rows)):
+            adj = tuple(row >> n & everyone for row in rows)
+            signs = sum(row >> 2 * n << i for i, row in enumerate(rows))
             outside = _outside_masks(adj, n)
             for v, a in enumerate(adj):
                 if a.bit_count() == 1 and adj[a.bit_length() - 1] == 1 << v:

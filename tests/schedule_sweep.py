@@ -4,9 +4,12 @@ Prints one line per record, `<sha256> <label>`, where the hash covers the
 schedule text (or None) that brute_force_schedule_search or
 plan_join_sequence returns, or, for a CLI record, the exit code, stdout
 and stderr of `plan --brute-force` and of `verify --oracle` on its
-schedule, and the schedule file. Run one copy of it against the src of
-each of two commits and compare the outputs; a planner change that keeps
-every schedule prints the same 4073 lines:
+schedule, and the schedule file. A verify record hashes what `verify`
+(with `--oracle` up to 16 qubits) prints for a schedule, and the
+probability and generators, in order, that execute_schedule returns.
+Run one copy of it against the src of each of two commits and compare
+the outputs; a planner or executor change that keeps every schedule and
+every executed group prints the same 4155 lines:
 
     PYTHONPATH=src python3 tests/schedule_sweep.py > change.txt
     PYTHONPATH=../parent/src python3 tests/schedule_sweep.py > parent.txt
@@ -32,14 +35,20 @@ import networkx as nx
 from pbsgraph import cli
 from pbsgraph.graphs import Graph
 from pbsgraph.planner import (
+    CreatePair,
+    Hadamard,
+    PbsGate,
+    Schedule,
     brute_force_schedule_search,
+    execute_schedule,
+    parse_schedule,
     plan_join_sequence,
     plan_tree_protocol,
     schedule_text,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from benchmarks.workloads import Plan  # noqa: E402
+from benchmarks.workloads import Plan, invoke  # noqa: E402
 
 NET6 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 STAR4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -174,6 +183,48 @@ def join_cases():
     yield "64-vertex star", Graph.from_edges(64, [(0, v) for v in range(1, 64)])
 
 
+def _relabelled_schedule(sched: Schedule, rng: random.Random) -> Schedule:
+    """The schedule with its qubit ids replaced by seeded distinct ids in
+    shuffled order."""
+    ids = sorted(sched.qubit_ids())
+    relabel = dict(zip(ids, rng.sample(range(1, 16 * len(ids)), len(ids))))
+    lines = [" ".join([op, *(str(relabel[int(q)]) for q in qubits)])
+             for op, *qubits in map(str.split, schedule_text(sched).splitlines())]
+    return parse_schedule("\n".join(lines) + "\n")
+
+
+def _mixed_schedule(rng: random.Random, pairs: int) -> Schedule:
+    """Seeded pairs created between gates, PBS gates between any two
+    live qubits (within one cluster about as often as the clusters make
+    it) and bare Hadamards, on seeded distinct ids in shuffled order."""
+    ids = rng.sample(range(8 * pairs), 2 * pairs)
+    instructions = [CreatePair(ids[0], ids[1])]
+    live = 2
+    while live < 2 * pairs or rng.random() < 0.6:
+        roll = rng.random()
+        if live < 2 * pairs and roll < 0.35:
+            instructions.append(CreatePair(ids[live], ids[live + 1]))
+            live += 2
+        elif roll < 0.5:
+            instructions.append(Hadamard(ids[rng.randrange(live)]))
+        else:
+            i1, i2 = rng.sample(ids[:live], 2)
+            instructions.append(PbsGate(i1, i2))
+    return Schedule(tuple(instructions))
+
+
+def verify_cases():
+    """(label, schedule) for the 82 verify records: plan_tree_protocol(1..8)
+    with seeded ids (4 to 512 qubits), then 74 seeded mixed schedules of 2
+    to 256 pairs."""
+    rng = random.Random(2828)
+    for m in range(1, 9):
+        yield f"protocol m={m}", _relabelled_schedule(plan_tree_protocol(m), rng)
+    for pairs, count in ((2, 20), (3, 20), (4, 10), (8, 10), (16, 6), (64, 4), (128, 2), (256, 2)):
+        for _ in range(count):
+            yield f"mixed {pairs} pairs", _mixed_schedule(rng, pairs)
+
+
 def main() -> int:
     started = time.perf_counter()
     records = 0
@@ -201,6 +252,17 @@ def main() -> int:
         edges = tree.sorted_edges() if tree.num_vertices <= 12 else ""
         print(digest, f"join {label} {edges}".rstrip())
         records += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (label, sched) in enumerate(verify_cases()):
+            path = Path(tmp) / f"verify{k}.sched"
+            path.write_text(schedule_text(sched), encoding="utf-8")
+            argv = ["verify", str(path)] + (["--oracle"] if len(sched.qubit_ids()) <= 16 else [])
+            call = invoke(cli, argv)
+            prob, group, _graph = execute_schedule(sched)
+            digest = _digest(call.code, call.stdout, call.stderr, prob,
+                             [str(g) for g in group.generators])
+            print(digest, f"verify {label} {len(sched.instructions)} instructions")
+            records += 1
     print(f"{records} records in {time.perf_counter() - started:.2f} s", file=sys.stderr)
     return 0
 

@@ -2,9 +2,14 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbsgraph
 from pbsgraph.cli import main
 from pbsgraph.graphs import Graph, edge_list_text
 from pbsgraph.planner import CreatePair, PbsGate, Schedule, execute_schedule, parse_schedule
@@ -100,6 +105,20 @@ def test_simulate_rejects_out_of_range_seeds_without_starting_workers(monkeypatc
     for seed in (-1, 2**64):
         assert main(args + ["--seed", str(seed)]) == 2
         assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_statistics():
+    """The process pool and statistics.median are imported on first use,
+    so a fresh interpreter importing the CLI, as every plan or verify run
+    does, loads neither module."""
+    src = str(Path(pbsgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, pbsgraph.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'statistics', 'concurrent.futures') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_simulate_pool_has_no_more_workers_than_chunks(monkeypatch, tmp_path, capsys):

@@ -11,7 +11,6 @@ from pbsgraph.fock import (
     MAX_DENSE_QUBITS,
     FockState,
     ModeLabel,
-    _apply_pauli_to_vector,
     _norm_squared,
     _dual_rail,
     _dual_rail_array,
@@ -22,7 +21,7 @@ from pbsgraph.fock import (
     tensor,
 )
 from pbsgraph.graphs import Graph, graph_to_stabilizers
-from pbsgraph.pauli import PauliString, StabilizerGroup
+from pbsgraph.pauli import PauliString, StabilizerGroup, _canonical_rows_of
 
 
 def norm_squared(state: FockState) -> float:
@@ -339,7 +338,7 @@ def test_bridge_matches_the_per_qubit_loop():
         group = _random_stabilizer_group(rng, n)
         ports = rng.sample(range(40), n)
         start, _vector = _reference_start_search(group)
-        assert _lowest_support_state(group) == start
+        assert _lowest_support_state(_canonical_rows_of(group), n) == start
         nonzero += start > 0
         reference = _reference_statevector_from_stabilizers(group, ports)
         assert np.array_equal(qubit_statevector_from_stabilizers(group, ports),
@@ -347,11 +346,34 @@ def test_bridge_matches_the_per_qubit_loop():
     assert nonzero >= 30
 
 
-def _reference_bridge(group: StabilizerGroup, ports) -> np.ndarray:
-    """The bridge with the former per-generator Pauli action."""
+def _apply_pauli_to_vector(pauli, vector: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The all-generator bridge's Pauli action, with indices the basis
+    indices np.arange(len(vector)): entry c of the result is the term of
+    b = c xor x."""
+    signs = 1.0 - 2.0 * (np.bitwise_count(indices & pauli.z_bits) & 1)
+    factor = 1j ** ((pauli.phase + (pauli.x_bits & pauli.z_bits).bit_count()) % 4)
+    return (factor * signs * vector)[indices ^ pauli.x_bits]
+
+
+def _all_generator_bridge(group: StabilizerGroup, ports) -> np.ndarray:
+    """The former bridge: the projector of every generator, in generator
+    order, applied to the whole vector with one index array per call."""
     n = group.num_qubits
     vector = np.zeros(1 << n, dtype=complex)
-    vector[_lowest_support_state(group)] = 1.0
+    vector[_lowest_support_state(_canonical_rows_of(group), n)] = 1.0
+    indices = np.arange(1 << n)
+    for g in group.generators:
+        vector = (vector + _apply_pauli_to_vector(g, vector, indices)) / 2
+    vector /= math.sqrt(_norm_squared(vector))
+    by_port = sorted(range(n), key=lambda q: ports[q])
+    return vector.reshape((2,) * n).transpose([n - 1 - q for q in by_port])
+
+
+def _reference_bridge(group: StabilizerGroup, ports) -> np.ndarray:
+    """The bridge with the per-generator Pauli action before that."""
+    n = group.num_qubits
+    vector = np.zeros(1 << n, dtype=complex)
+    vector[_lowest_support_state(_canonical_rows_of(group), n)] = 1.0
     for g in group.generators:
         vector = (vector + _reference_apply_pauli_to_vector(g, vector)) / 2
     vector /= math.sqrt(_norm_squared(vector))
@@ -380,12 +402,44 @@ def test_bridge_matches_the_per_generator_pauli_action():
                                   _reference_apply_pauli_to_vector(g, vector))
 
 
+def test_bridge_matches_the_all_generator_bridge(monkeypatch):
+    """The bridge projects only the canonical rows with X bits, doubling
+    the support each time; on seeded groups of 1 to 12 qubits, with
+    signs, Hadamards and generators remixed by products (so their X
+    parts are often dependent), on unsorted ports, it gives the former
+    all-generator bridge's array exactly, with one concatenation per
+    row with X bits."""
+    rng = random.Random(40)
+    remixed = 0
+    for k in range(96):
+        n = k % 12 + 1
+        group = _random_stabilizer_group(rng, n)
+        gens = list(group.generators)
+        for _ in range(rng.randrange(2 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                gens[i] = gens[i] * gens[j]
+                remixed += 1
+        rng.shuffle(gens)
+        group = StabilizerGroup(n, tuple(gens))
+        ports = rng.sample(range(40), n)
+        calls = []
+        concatenate = np.concatenate
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "concatenate", lambda arrays: calls.append(1) or concatenate(arrays))
+            state = qubit_statevector_from_stabilizers(group, ports)
+        assert np.array_equal(state, _all_generator_bridge(group, ports))
+        with_x = sum(1 for row in _canonical_rows_of(group) if row & ((1 << n) - 1))
+        assert len(calls) == 2 * with_x
+    assert remixed >= 300
+
+
 def test_bridge_start_is_direct_at_sixteen_qubits():
     """-Z on every qubit fixes |1...1>, the last of 2**16 basis states, which
     the former start search reached after 65535 empty projections."""
     n = MAX_DENSE_QUBITS
     group = StabilizerGroup(n, tuple(PauliString(n, 0, 1 << q, 2) for q in range(n)))
-    assert _lowest_support_state(group) == (1 << n) - 1
+    assert _lowest_support_state(_canonical_rows_of(group), n) == (1 << n) - 1
     state = qubit_statevector_from_stabilizers(group)
     expected = np.zeros((2,) * n, dtype=complex)
     expected[(1,) * n] = 1.0

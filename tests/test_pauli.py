@@ -90,13 +90,28 @@ def test_multiplication_associative_and_commutation_phase():
         assert swap_phase == (0 if commutes_with(a, b) else 2)
 
 
+def _conjugate_hadamard(p: PauliString, q: int) -> PauliString:
+    """The former PauliString.conjugate_hadamard, now a reference: H on
+    qubit q, X <-> Z there; a Y picks up a sign flip."""
+    bit = 1 << q
+    x, z = p.x_bits, p.z_bits
+    new_x = (x & ~bit) | (bit if z & bit else 0)
+    new_z = (z & ~bit) | (bit if x & bit else 0)
+    phase = (p.phase + (2 if (x & z & bit) else 0)) % 4
+    return PauliString(p.num_qubits, new_x, new_z, phase)
+
+
 def test_hadamard_conjugation():
-    assert str(PauliString.from_label("X").conjugate_hadamard(0)) == "+Z"
-    assert str(PauliString.from_label("Z").conjugate_hadamard(0)) == "+X"
-    assert str(PauliString.from_label("Y").conjugate_hadamard(0)) == "-Y"
+    assert str(_conjugate_hadamard(PauliString.from_label("X"), 0)) == "+Z"
+    assert str(_conjugate_hadamard(PauliString.from_label("Z"), 0)) == "+X"
+    assert str(_conjugate_hadamard(PauliString.from_label("Y"), 0)) == "-Y"
     p = PauliString.from_label("-iXYZ")
-    assert str(p.conjugate_hadamard(2)) == "-iXYX"
-    assert p.conjugate_hadamard(1).conjugate_hadamard(1) == p
+    assert str(_conjugate_hadamard(p, 2)) == "-iXYX"
+    assert _conjugate_hadamard(_conjugate_hadamard(p, 1), 1) == p
+    for label in ("X", "Z", "-Y", "+XYZ"):
+        group = StabilizerGroup(len(label.lstrip("+-")), (PauliString.from_label(label),))
+        assert group.apply_hadamard(0).generators == (
+            _conjugate_hadamard(PauliString.from_label(label), 0),)
 
 
 def test_group_validation_rejects_bad_generators():
@@ -410,12 +425,12 @@ def test_validate_messages_match_pairwise_reference():
 
 
 def test_packed_kernels_match_stabilizer_group_methods():
-    """The brute-force search's packed kernels against the object path
-    they replace there: on seeded scrambled groups, the reduction gives
-    the reference's canonical rows, and for every qubit pair the packed
-    Z x Z postselection gives measure_zz_postselect's probability,
-    impossible outcome and generators, as the Hadamard does
-    apply_hadamard's."""
+    """The brute-force search's packed kernels, on canonical rows,
+    against the object path: on seeded scrambled groups, the reduction
+    gives the reference's canonical rows, and for every qubit pair the
+    packed Z x Z postselection gives the object measurement's
+    probability, impossible outcome and generators, as the Hadamard does
+    the object Hadamard's."""
     rng = random.Random(31)
     outcomes = {0.0: 0, 0.5: 0, 1.0: 0}
     for _ in range(120):
@@ -426,12 +441,153 @@ def test_packed_kernels_match_stabilizer_group_methods():
         assert canonical == tuple(map(_pack, reference.generators))
         for q1 in range(n):
             assert _hadamard_rows(canonical, n, q1) == tuple(
-                map(_pack, reference.apply_hadamard(q1).generators))
+                map(_pack, _reference_apply_hadamard(reference, q1).generators))
             for q2 in range(n):
                 if q1 == q2:
                     continue
-                prob, after = reference.measure_zz_postselect(q1, q2)
+                prob, after = _reference_measure_zz_postselect(reference, q1, q2)
                 rows = None if after is None else tuple(map(_pack, after.generators))
                 assert _zz_postselect_rows(canonical, n, q1, q2) == (prob, rows)
                 outcomes[prob] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+# ----- the former object gate path, now the reference for the packed rows -----
+
+
+def _reference_apply_hadamard(group: StabilizerGroup, q: int) -> StabilizerGroup:
+    """The former StabilizerGroup.apply_hadamard: one PauliString per
+    generator with support on q."""
+    bit = 1 << q  # generators without support on q are unchanged
+    gens = [_conjugate_hadamard(g, q) if (g.x_bits | g.z_bits) & bit else g
+            for g in group.generators]
+    return StabilizerGroup(group.num_qubits, tuple(gens))
+
+
+def _reference_canonical_form(group: StabilizerGroup) -> StabilizerGroup:
+    """canonical_form by PauliString row operations."""
+    return StabilizerGroup(group.num_qubits,
+                           tuple(row for row, _ in _reference_rows_with_pivots(group)))
+
+
+def _reference_measure_zz_postselect(group: StabilizerGroup, q1: int, q2: int):
+    """The former StabilizerGroup.measure_zz_postselect, with membership
+    read off the PauliString reduction: (probability, group or None)."""
+    n = group.num_qubits
+    observable = PauliString(n, 0, 1 << q1 | 1 << q2)
+    # Z_q1 Z_q2 anticommutes with g iff g's X bits on q1 and q2 differ
+    anti = [i for i, g in enumerate(group.generators) if (g.x_bits >> q1 ^ g.x_bits >> q2) & 1]
+    if anti:
+        first = anti[0]
+        g = group.generators[first]
+        new_gens = list(group.generators)
+        for i in anti[1:]:
+            new_gens[i] = new_gens[i] * g
+        new_gens[first] = observable
+        return 0.5, StabilizerGroup(n, tuple(new_gens))
+    residual = observable
+    for row, pivot in _reference_rows_with_pivots(group):
+        if (residual.x_bits | residual.z_bits << n) >> pivot & 1:
+            residual = residual * row
+    if not residual.is_identity or not residual.is_hermitian:
+        raise AssertionError("observable commutes with a maximal group but is not in it")
+    return (1.0, group) if residual.phase == 0 else (0.0, None)
+
+
+def _gate_inputs(seed: int, rounds: int) -> list[StabilizerGroup]:
+    """Seeded scrambled groups of 1 to 10 qubits; every third is a signed
+    Z basis state, remixed, on which Z x Z outcomes are certain. Half of
+    them are built from packed rows, half from PauliStrings."""
+    rng = random.Random(seed)
+    groups = []
+    for k in range(rounds):
+        n = k % 10 + 1
+        group = _scrambled_group(rng, n)
+        if k % 3 == 0:
+            gens = [PauliString(n, 0, 1 << q, 2 * rng.randrange(2)) for q in range(n)]
+            for _ in range(n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                gens[i] = gens[i] * gens[j]
+            group = StabilizerGroup(n, tuple(gens))
+        if rng.random() < 0.5:
+            group = StabilizerGroup(n, _rows=tuple(map(_pack, group.generators)))
+        groups.append(group)
+    return groups
+
+
+def _gate_mismatches(groups: list[StabilizerGroup]) -> tuple[int, dict[float, int]]:
+    """Row-backed gates against the object references: apply_hadamard on
+    every qubit, measure_zz_postselect on every qubit pair, and
+    canonical_form, each compared generator for generator. Returns the
+    number of mismatches and the count of each measurement outcome."""
+    mismatches, outcomes = 0, {0.0: 0, 0.5: 0, 1.0: 0}
+    for group in groups:
+        n = group.num_qubits
+        mismatches += group.canonical_form().generators != _reference_canonical_form(
+            group).generators
+        for q1 in range(n):
+            mismatches += group.apply_hadamard(q1).generators != _reference_apply_hadamard(
+                group, q1).generators
+            for q2 in range(n):
+                if q1 == q2:
+                    continue
+                prob, after = group.measure_zz_postselect(q1, q2)
+                ref_prob, ref_after = _reference_measure_zz_postselect(group, q1, q2)
+                mismatches += (prob, after and after.generators) != (
+                    ref_prob, ref_after and ref_after.generators)
+                outcomes[ref_prob] += 1
+    return mismatches, outcomes
+
+
+def test_row_backed_gates_match_the_object_reference():
+    """The packed-row StabilizerGroup methods give the former object
+    path's probabilities and generators, exactly, at 1 to 10 qubits, and
+    every outcome (anticommuting, certain, impossible) occurs often."""
+    mismatches, outcomes = _gate_mismatches(_gate_inputs(28, 200))
+    assert mismatches == 0
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
+def test_row_backed_gate_mutations_are_caught(monkeypatch):
+    """The comparison above fails when the Hadamard kernel drops the Y
+    sign flip, or the Z x Z kernel skips one anticommuting product."""
+    import pbsgraph.pauli as pauli
+
+    def no_y_flip(rows, n, q):
+        xz = 1 << q | 1 << n + q
+        return tuple(row ^ xz if row & xz and row & xz != xz else row for row in rows)
+
+    postselect = pauli._zz_postselect_rows
+
+    def skip_one_product(rows, n, q1, q2, canonical=True):
+        anti = [i for i, row in enumerate(rows) if (row >> q1 ^ row >> q2) & 1]
+        prob, out = postselect(rows, n, q1, q2, canonical)
+        if len(anti) < 2:
+            return prob, out
+        out = list(out)
+        out[anti[1]] = rows[anti[1]]
+        return prob, tuple(out)
+
+    groups = _gate_inputs(28, 40)
+    for name, mutant in (("_hadamard_rows", no_y_flip), ("_zz_postselect_rows", skip_one_product)):
+        with monkeypatch.context() as patch:
+            patch.setattr(pauli, name, mutant)
+            assert _gate_mismatches(groups)[0] > 0, name
+
+
+def test_groups_from_rows_and_from_strings_agree():
+    """A group built from packed rows and one built from the same
+    PauliStrings are equal, hash equal and print the same; generators
+    is unpacked once and kept."""
+    rng = random.Random(8)
+    for n in range(1, 12):
+        group = _scrambled_group(rng, n)
+        rows = StabilizerGroup(n, _rows=tuple(map(_pack, group.generators)))
+        assert rows == group and hash(rows) == hash(group) and repr(rows) == repr(group)
+        assert rows.generators is rows.generators
+        assert list(rows) == list(group.generators)
+        assert rows.validate() is rows
+    signs = StabilizerGroup.from_labels(["XX", "ZZ"])
+    assert signs != StabilizerGroup.from_labels(["-XX", "ZZ"]) and signs != "XX ZZ"
+    with pytest.raises(ValueError, match="not independent"):
+        StabilizerGroup(2, _rows=(0b0011, 1 << 4)).validate()  # -I

@@ -11,6 +11,11 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 import pytest
+from test_pauli import (
+    _reference_apply_hadamard,
+    _reference_canonical_form,
+    _reference_measure_zz_postselect,
+)
 
 from pbsgraph import planner
 from pbsgraph.fock import (
@@ -1842,6 +1847,68 @@ def test_unchecked_execution_matches_validated_replay():
         impossible += prob == 0.0
         in_graph_form += graph is not None
     assert with_intra >= 50 and with_hadamard >= 50 and impossible >= 3 and in_graph_form >= 20
+
+
+def _object_replay(sched: Schedule) -> tuple[float, StabilizerGroup, Graph | None]:
+    """execute_schedule on the former object gate path: the pairs' graph
+    state as PauliStrings in sorted id order, every gate through the
+    object references of test_pauli, and graph form read off their
+    canonical form."""
+    ids = sched.qubit_ids()
+    index = {q: i for i, q in enumerate(ids)}
+    n = len(ids)
+    adj = [0] * n
+    for ins in sched.instructions:
+        if isinstance(ins, CreatePair):
+            a, b = index[ins.q_a], index[ins.q_b]
+            adj[a], adj[b] = 1 << b, 1 << a
+    group = StabilizerGroup(n, tuple(PauliString(n, 1 << i, row) for i, row in enumerate(adj)))
+    prob = 1.0
+    for k, ins in enumerate(sched.instructions):
+        if isinstance(ins, PbsGate):
+            gate_prob, after = _reference_measure_zz_postselect(group, index[ins.i1],
+                                                                index[ins.i2])
+            if after is None:
+                return 0.0, _object_replay(Schedule(sched.instructions[:k]))[1], None
+            prob *= gate_prob
+            group = _reference_apply_hadamard(after, index[ins.i2])
+        elif isinstance(ins, Hadamard):
+            group = _reference_apply_hadamard(group, index[ins.q])
+    canon = _reference_canonical_form(group).generators
+    if any(g.x_bits != 1 << i or g.z_bits >> i & 1 or g.phase for i, g in enumerate(canon)):
+        return prob, group, None
+    return prob, group, Graph(n, tuple(g.z_bits for g in canon))
+
+
+def _assert_executes_like_the_object_path(sched: Schedule) -> tuple[float, Graph | None]:
+    prob, group, graph = execute_schedule(sched)
+    ref_prob, ref_group, ref_graph = _object_replay(sched)
+    assert (prob, group.generators, graph) == (ref_prob, ref_group.generators, ref_graph)
+    return prob, graph
+
+
+def test_execution_matches_the_object_gate_path():
+    """execute_schedule runs StabilizerGroup on packed rows; the object
+    replay gives the same probability, the same generators in the same
+    order and the same graph, on plan_tree_protocol(1..7) with seeded
+    distinct ids in shuffled order (4 to 256 qubits), and on the 150
+    mixed schedules of the validated replay below."""
+    rng = random.Random(14)
+    for m in range(1, 8):
+        sched = plan_tree_protocol(m)
+        ids = sorted(sched.qubit_ids())
+        relabel = dict(zip(ids, rng.sample(range(1, 16 * len(ids)), len(ids))))
+        text = "\n".join(" ".join([op, *(str(relabel[int(q)]) for q in qubits)])
+                         for op, *qubits in map(str.split, schedule_text(sched).splitlines()))
+        prob, graph = _assert_executes_like_the_object_path(parse_schedule(text))
+        assert prob == 0.5 ** sched.gate_count() and graph is not None
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(150):
+        sched, _intra = _random_mixed_schedule(rng)
+        prob, graph = _assert_executes_like_the_object_path(sched)
+        outcomes.add((prob > 0, graph is not None))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_execute_schedule_foundations():
